@@ -15,6 +15,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use dve_assign::{CapInstance, CostMatrix, DelayLayout};
+use dve_bench::diff::Record;
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{build_replication, SimSetup, TopologySpec};
 use dve_topology::HierarchicalConfig;
@@ -159,15 +160,11 @@ criterion_group!(benches, bench_delta_vs_rebuild);
 fn main() {
     benches();
     let (full_ms, delta_ms) = check_churn_speedup();
-    let path = dve_bench::write_bench_record(
-        "churn",
-        &[
-            ("tier", format!("\"{LARGE_TIER}\"")),
-            ("epochs", format!("{EPOCHS}")),
-            ("full_rebuild_ms_per_epoch", format!("{full_ms:.3}")),
-            ("delta_update_ms_per_epoch", format!("{delta_ms:.3}")),
-            ("speedup", format!("{:.3}", full_ms / delta_ms)),
-        ],
-    );
-    println!("churn: record written to {path}");
+    let mut record = Record::new("churn").with_tier(LARGE_TIER);
+    record.report("epochs", EPOCHS as f64);
+    record.report("full_rebuild_ms_per_epoch", full_ms);
+    record.report("delta_update_ms_per_epoch", delta_ms);
+    record.report("speedup", full_ms / delta_ms);
+    let path = dve_bench::write_bench_record(record);
+    println!("churn: record written to {}", path.display());
 }

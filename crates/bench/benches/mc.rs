@@ -18,9 +18,10 @@
 //! bench-diff gate).
 //!
 //! Width is taken from `DVE_THREADS` / the machine: the `scale-mc` job
-//! runs with the variable unpinned. Results land in `BENCH_mc.json`
-//! keyed by `threads`, so future multi-core baselines are compared like
-//! for like (`bench_diff` refuses mismatched widths).
+//! runs with the variable unpinned. Results land in
+//! `target/bench-records/BENCH_mc.json` keyed by `threads`, so future
+//! multi-core baselines are compared like for like (`bench_diff`
+//! refuses mismatched widths).
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench mc
@@ -29,7 +30,7 @@
 use dve_assign::{
     evaluate, grec, grez_with, improve_iap_with_threads, Assignment, CostMatrix, StuckPolicy,
 };
-use dve_bench::diff::{doc_threads, entries, parse};
+use dve_bench::diff::Record;
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::experiments::table1::GREZ_LS_GREC;
 use dve_sim::{build_replication, SimSetup, TopologySpec};
@@ -87,25 +88,18 @@ fn min_solve_ms(inst: &dve_assign::CapInstance, threads: usize) -> f64 {
 
 /// The committed 1-thread baseline: minimum solve time of the
 /// (LARGE_TIER, GreZ-LS-GreC) pair in `BENCH_table1.json`. Refuses a
-/// baseline document whose recorded width is not 1 — the whole gate is
+/// baseline record whose width is not 1 — the whole gate is
 /// "multi-core over the 1-thread baseline", so a wider baseline means
 /// someone re-bootstrapped the file without pinning `DVE_THREADS=1`.
 fn committed_baseline_ms() -> Option<f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_table1.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = parse(&text).ok()?;
-    let width = doc_threads(&doc);
+    let record = dve_bench::committed_record("table1").ok()?;
     assert_eq!(
-        width,
-        Some(1),
-        "BENCH_table1.json records threads={width:?}: the mc gate needs a 1-thread baseline \
-         (regenerate with DVE_THREADS=1, as the bench-diff job does)"
+        record.threads, 1,
+        "BENCH_table1.json records threads={}: the mc gate needs a 1-thread baseline \
+         (regenerate with DVE_THREADS=1, as the bench-diff job does)",
+        record.threads
     );
-    entries(&doc)
-        .ok()?
-        .into_iter()
-        .find(|e| e.config == LARGE_TIER && e.algorithm == GREZ_LS_GREC)
-        .map(|e| e.exec_ms)
+    record.value(&format!("{LARGE_TIER}/{GREZ_LS_GREC}/exec_ms"))
 }
 
 fn main() {
@@ -151,14 +145,6 @@ fn main() {
         println!("mc/curve: {w} thread(s): min {ms:.1} ms");
         curve.push((w, ms));
     }
-    let curve_json = format!(
-        "[{}]",
-        curve
-            .iter()
-            .map(|(w, ms)| format!("{{\"threads\": {w}, \"solve_min_ms\": {ms:.3}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
 
     pin_width(threads); // restore: the record stamps the nominal width
     let in_process = serial_ms / wide_ms;
@@ -174,28 +160,24 @@ fn main() {
         }
     );
 
-    dve_bench::write_bench_record(
-        "mc",
-        &[
-            ("tier", format!("\"{LARGE_TIER}\"")),
-            ("algorithm", format!("\"{GREZ_LS_GREC}\"")),
-            ("runs", format!("{RUNS}")),
-            ("solve_min_ms", format!("{wide_ms:.3}")),
-            ("solve_min_ms_1thread", format!("{serial_ms:.3}")),
-            ("speedup_in_process", format!("{in_process:.3}")),
-            ("curve", curve_json),
-            (
-                "committed_baseline_ms",
-                committed.map_or("null".to_string(), |b| format!("{b:.3}")),
-            ),
-            ("pqos", format!("{serial_pqos:.6}")),
-        ],
-    );
+    let mut record = Record::new("mc").with_tier(LARGE_TIER);
+    record.report("runs", RUNS as f64);
+    record.report("solve_min_ms", wide_ms);
+    record.report("solve_min_ms_1thread", serial_ms);
+    record.report("speedup_in_process", in_process);
+    for (w, ms) in curve {
+        record.report(format!("solve_min_ms@{w}"), ms);
+    }
+    if let Some(base) = committed {
+        record.report("committed_baseline_ms", base);
+    }
+    record.report("pqos", serial_pqos);
+    dve_bench::write_bench_record(record);
 
     if threads <= 1 {
         println!(
             "mc: SKIP (one worker available — the >=2x multi-core gate needs a wider runner; \
-             measurements recorded in BENCH_mc.json)"
+             measurements recorded in target/bench-records/BENCH_mc.json)"
         );
         return;
     }

@@ -17,8 +17,9 @@
 //!   a wall-clock budget.
 //!
 //! Build throughput, peak RSS, thread count, and serve latencies are
-//! written to `BENCH_million.json` (uploaded as a CI artifact) so the
-//! scale trajectory is machine-readable like `BENCH_table1.json`.
+//! written to `target/bench-records/BENCH_million.json` (uploaded as a
+//! CI artifact) so the scale trajectory is machine-readable like
+//! `BENCH_table1.json`.
 //!
 //! Environment knobs (all optional):
 //! * `DVE_MILLION_CLIENTS` — reduced-size variant for slow runners
@@ -34,7 +35,7 @@
 //!   the committed width-1 `steady_p99_ns` in `BENCH_million.json`
 //!   (default 1: the phase is skipped and the headline run stays the
 //!   single-core claim);
-//! * `DVE_MILLION_JSON` — output path, default `BENCH_million.json`.
+//! * `DVE_MILLION_JSON` — an extra path to copy the record to.
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench million
@@ -44,6 +45,7 @@ use dve_assign::{
     evaluate, grec, grez_with, improve_iap_with, Assignment, CapInstance, CostMatrix, DelayLayout,
     StuckPolicy,
 };
+use dve_bench::diff::Record;
 use dve_sim::experiments::scaling::MILLION_TIER;
 use dve_sim::{
     peak_rss_bytes, run_mobility_stream_with, DelayMode, QualityEstimator, ServeConfig,
@@ -148,15 +150,11 @@ fn serve_trace<E: ServeSink>(engine: &mut E, nodes: usize, zones: usize) -> (f64
 /// the bound the sharded phase must beat at >= 4 workers. `None` when
 /// the committed record is absent or was not measured at width 1.
 fn committed_steady_p99_ns() -> Option<u64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_million.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = dve_bench::diff::parse(&text).ok()?;
-    if dve_bench::diff::doc_threads(&doc) != Some(1) {
+    let record = dve_bench::committed_record("million").ok()?;
+    if record.threads != 1 {
         return None;
     }
-    doc.get("steady_p99_ns")
-        .and_then(dve_bench::diff::Json::as_num)
-        .map(|x| x as u64)
+    record.value("steady_p99_ns").map(|x| x as u64)
 }
 
 /// The tier to run: the canonical [`MILLION_TIER`], or a reduced-size
@@ -442,55 +440,41 @@ fn main() {
     );
 
     // --- Machine-readable record. ---
-    // The shared writer stamps experiment/threads/peak_rss_bytes and
-    // anchors the file at the workspace root, next to BENCH_table1.json.
-    let json_path = dve_bench::write_bench_record(
-        "million",
-        &[
-            ("tier", format!("\"{notation}\"")),
-            ("clients", format!("{clients}")),
-            ("delay_table_bytes", format!("{table_bytes}")),
-            ("topology_ms", format!("{topo_ms:.3}")),
-            ("world_ms", format!("{world_ms:.3}")),
-            ("build_ms", format!("{build_ms:.3}")),
-            ("build_clients_per_sec", format!("{build_rate:.0}")),
-            ("solve_ms", format!("{solve_ms:.3}")),
-            ("pqos_initial", format!("{pqos_initial:.6}")),
-            ("pqos_served", format!("{pqos_served:.6}")),
-            ("warmup_events", format!("{WARMUP_EVENTS}")),
-            ("warmup_ms", format!("{warmup_ms:.3}")),
-            (
-                "warmup_p99_ns",
-                format!("{}", stats.warmup.quantile_upper_ns(0.99)),
-            ),
-            ("steady_events", format!("{STEADY_EVENTS}")),
-            ("steady_ms", format!("{steady_ms:.3}")),
-            ("steady_mean_ns", format!("{:.0}", stats.latency.mean_ns())),
-            (
-                "steady_p99_ns",
-                format!("{}", stats.latency.quantile_upper_ns(0.99)),
-            ),
-            ("full_repairs", format!("{}", stats.full_repairs)),
-            ("sharded_shards", format!("{shards}")),
-            (
-                "sharded_steady_ms",
-                sharded_steady_ms.map_or("null".to_string(), |x: f64| format!("{x:.3}")),
-            ),
-            (
-                "sharded_steady_p99_ns",
-                sharded_p99.map_or("null".to_string(), |x: u64| format!("{x}")),
-            ),
-            ("mobility_ticks", format!("{MOBILITY_TICKS}")),
-            ("mobility_events", format!("{}", mobility.stats.events)),
-            ("mobility_ms", format!("{mobility_ms:.3}")),
-            ("pqos_mobility", format!("{pqos_mobility:.6}")),
-            ("wall_s", format!("{elapsed_s:.3}")),
-        ],
-    );
-    // Legacy override: mirror the record wherever the operator asked.
+    let mut record = Record::new("million").with_tier(&notation);
+    record.report("clients", clients as f64);
+    record.report("delay_table_bytes", table_bytes as f64);
+    record.report("topology_ms", topo_ms);
+    record.report("world_ms", world_ms);
+    record.report("build_ms", build_ms);
+    record.report("build_clients_per_sec", build_rate);
+    record.report("solve_ms", solve_ms);
+    record.report("pqos_initial", pqos_initial);
+    record.report("pqos_served", pqos_served);
+    record.report("warmup_events", WARMUP_EVENTS as f64);
+    record.report("warmup_ms", warmup_ms);
+    let warmup_p99 = stats.warmup.quantile_upper_ns(0.99);
+    record.report("warmup_p99_ns", warmup_p99 as f64);
+    record.report("steady_events", STEADY_EVENTS as f64);
+    record.report("steady_ms", steady_ms);
+    record.report("steady_mean_ns", stats.latency.mean_ns());
+    let steady_p99 = stats.latency.quantile_upper_ns(0.99);
+    record.report("steady_p99_ns", steady_p99 as f64);
+    record.report("full_repairs", stats.full_repairs as f64);
+    record.report("sharded_shards", shards as f64);
+    if let (Some(ms), Some(p99)) = (sharded_steady_ms, sharded_p99) {
+        record.report("sharded_steady_ms", ms);
+        record.report("sharded_steady_p99_ns", p99 as f64);
+    }
+    record.report("mobility_ticks", MOBILITY_TICKS as f64);
+    record.report("mobility_events", mobility.stats.events as f64);
+    record.report("mobility_ms", mobility_ms);
+    record.report("pqos_mobility", pqos_mobility);
+    record.report("wall_s", elapsed_s);
+    let json_path = dve_bench::write_bench_record(record);
+    // Mirror the record wherever the operator asked.
     if let Ok(extra) = std::env::var("DVE_MILLION_JSON") {
         std::fs::copy(&json_path, &extra)
             .unwrap_or_else(|e| panic!("could not copy record to {extra}: {e}"));
     }
-    println!("million: PASS ({json_path} written)");
+    println!("million: PASS ({} written)", json_path.display());
 }

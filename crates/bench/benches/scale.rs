@@ -21,6 +21,7 @@ use dve_assign::reference::{grez_reference, improve_iap_reference};
 use dve_assign::{
     evaluate, grez_with, improve_iap_with, solve, CapAlgorithm, CostMatrix, StuckPolicy,
 };
+use dve_bench::diff::Record;
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{build_replication, SimSetup, TopologySpec};
 use dve_topology::HierarchicalConfig;
@@ -155,17 +156,13 @@ fn main() {
     let (build_s, solve_s, pqos) = check_large_tier();
     // Machine-readable record keyed by worker width, for the scale-mc
     // job's artifacts (bench_diff refuses cross-width comparisons).
-    let path = dve_bench::write_bench_record(
-        "scale",
-        &[
-            ("grez_improve_naive_ms", format!("{naive_ms:.3}")),
-            ("grez_improve_matrix_ms", format!("{matrix_ms:.3}")),
-            ("speedup", format!("{:.3}", naive_ms / matrix_ms)),
-            ("large_tier", format!("\"{LARGE_TIER}\"")),
-            ("large_build_s", format!("{build_s:.3}")),
-            ("large_solve_s", format!("{solve_s:.3}")),
-            ("large_pqos", format!("{pqos:.6}")),
-        ],
-    );
-    println!("scale: record written to {path}");
+    let mut record = Record::new("scale").with_tier(LARGE_TIER);
+    record.report("grez_improve_naive_ms", naive_ms);
+    record.report("grez_improve_matrix_ms", matrix_ms);
+    record.report("speedup", naive_ms / matrix_ms);
+    record.report("large_build_s", build_s);
+    record.report("large_solve_s", solve_s);
+    record.report("large_pqos", pqos);
+    let path = dve_bench::write_bench_record(record);
+    println!("scale: record written to {}", path.display());
 }

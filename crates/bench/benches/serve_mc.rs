@@ -18,21 +18,22 @@
 //! solve) happens once per width outside the clock.
 //!
 //! Besides the headline width, the run measures the **speedup curve**
-//! at every [`CURVE_WIDTHS`] width the machine can host and records it
-//! as a `curve` array of `{threads, events_per_s}` points, so the
-//! scale trajectory of the serving path is machine-readable and
-//! `bench_diff` can gate each width a committed baseline carries.
+//! at every [`CURVE_WIDTHS`] width the machine can host and records
+//! each as an `events_per_s@<width>` metric, so the scale trajectory of
+//! the serving path is machine-readable and `bench_diff` can gate each
+//! width a committed baseline carries.
 //!
-//! Results land in `BENCH_serve_mc.json` keyed by `threads` +
-//! `peak_rss_bytes`, so committed baselines are compared like for like
-//! (`bench_diff` refuses cross-width diffs and gates `events_per_s`
-//! plus every shared curve point).
+//! Results land in `target/bench-records/BENCH_serve_mc.json` keyed by
+//! `threads` + `peak_rss_bytes`, so committed baselines are compared
+//! like for like (`bench_diff` refuses cross-width diffs and gates
+//! `events_per_s` plus every shared curve point at -25%).
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench serve_mc
 //! ```
 
 use dve_assign::StuckPolicy;
+use dve_bench::diff::{Metric, Record};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
     build_replication, LatencyHistogram, ServeConfig, ServeSink, ShardedServeEngine, SimSetup,
@@ -181,9 +182,21 @@ fn main() {
         flush.render_us()
     );
 
+    let mut record = Record::new("serve_mc").with_tier(LARGE_TIER);
+    record.report("runs", RUNS as f64);
+    record.report("events", EVENTS as f64);
+    record.report("batch", BATCH as f64);
+    record.report("serve_min_ms", wide_ms);
+    record.report("serve_min_ms_1shard", serial_ms);
+    record
+        .metrics
+        .push(Metric::new("events_per_s", wide_eps).higher(0.25));
+    record.report("events_per_s_1shard", serial_eps);
+    record.report("speedup_in_process", speedup);
     // The speedup curve: every width the machine can host, reusing the
-    // already-timed width-1 and headline engines.
-    let mut curve: Vec<(usize, f64)> = Vec::new();
+    // already-timed width-1 and headline engines. Each width is gated on
+    // its own, so efficiency lost at one width cannot hide behind the
+    // headline.
     for &w in CURVE_WIDTHS.iter().filter(|&&w| w <= threads.max(1)) {
         let eps = if w == 1 {
             serial_eps
@@ -196,42 +209,21 @@ fn main() {
             EVENTS as f64 / (ms / 1e3)
         };
         println!("serve_mc/curve: {w} worker(s): {eps:.0} events/s");
-        curve.push((w, eps));
+        record
+            .metrics
+            .push(Metric::new(format!("events_per_s@{w}"), eps).higher(0.25));
     }
-    let curve_json = format!(
-        "[{}]",
-        curve
-            .iter()
-            .map(|(w, eps)| format!("{{\"threads\": {w}, \"events_per_s\": {eps:.1}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-
-    dve_bench::write_bench_record(
-        "serve_mc",
-        &[
-            ("tier", format!("\"{LARGE_TIER}\"")),
-            ("runs", format!("{RUNS}")),
-            ("events", format!("{EVENTS}")),
-            ("batch", format!("{BATCH}")),
-            ("serve_min_ms", format!("{wide_ms:.3}")),
-            ("serve_min_ms_1shard", format!("{serial_ms:.3}")),
-            ("events_per_s", format!("{wide_eps:.1}")),
-            ("events_per_s_1shard", format!("{serial_eps:.1}")),
-            ("speedup_in_process", format!("{speedup:.3}")),
-            ("curve", curve_json),
-            ("flush_samples", format!("{}", flush.count())),
-            ("flush_p99_ns", format!("{}", flush.quantile_upper_ns(0.99))),
-            ("event_imbalance_max", format!("{ev_max}")),
-            ("event_imbalance_min", format!("{ev_min}")),
-        ],
-    );
+    record.report("flush_samples", flush.count() as f64);
+    record.report("flush_p99_ns", flush.quantile_upper_ns(0.99) as f64);
+    record.report("event_imbalance_max", ev_max as f64);
+    record.report("event_imbalance_min", ev_min as f64);
+    dve_bench::write_bench_record(record);
 
     if threads < MIN_GATE_WIDTH {
         println!(
             "serve_mc: SKIP ({threads} worker(s) available — the >={GATE_SPEEDUP}x serving \
              gate needs at least {MIN_GATE_WIDTH}; measurements recorded in \
-             BENCH_serve_mc.json)"
+             target/bench-records/BENCH_serve_mc.json)"
         );
         return;
     }

@@ -20,6 +20,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use dve_assign::{CostMatrix, StuckPolicy};
+use dve_bench::diff::Record;
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
     build_replication, run_stream_with_warmup, ServeConfig, ServeEngine, SimSetup, StreamEvent,
@@ -270,17 +271,13 @@ fn main() {
     benches();
     check_carried_state_identity();
     let (mean_ns, p99_ns, pqos) = check_stream_latency();
-    let path = dve_bench::write_bench_record(
-        "stream",
-        &[
-            ("tier", format!("\"{LARGE_TIER}\"")),
-            ("epochs", format!("{EPOCHS}")),
-            ("steady_mean_ns", format!("{mean_ns:.0}")),
-            ("steady_p99_ns", format!("{p99_ns}")),
-            ("pqos", format!("{pqos:.6}")),
-        ],
-    );
-    println!("stream: record written to {path}");
+    let mut record = Record::new("stream").with_tier(LARGE_TIER);
+    record.report("epochs", EPOCHS as f64);
+    record.report("steady_mean_ns", mean_ns);
+    record.report("steady_p99_ns", p99_ns as f64);
+    record.report("pqos", pqos);
+    let path = dve_bench::write_bench_record(record);
+    println!("stream: record written to {}", path.display());
     #[cfg(feature = "count-allocs")]
     {
         let (allocs, bytes) = alloc_count::totals();

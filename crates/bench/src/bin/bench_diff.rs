@@ -1,472 +1,59 @@
-//! Compares a freshly measured `BENCH_table1.json` against the committed
-//! baseline and fails on perf regressions — CI's bench-diff gate.
-//!
-//! ```bash
-//! cargo run --release -p dve-bench --bin table1 -- --quick --json BENCH_fresh.json
-//! cargo run --release -p dve-bench --bin bench_diff -- BENCH_fresh.json BENCH_table1.json
-//! ```
-//!
-//! Exit status: 0 when every (configuration, algorithm) pair is within
-//! the threshold, 1 on any regression or missing pair, 2 on usage or
-//! parse errors.
-//!
-//! Flags: `--threshold F` (default 0.25: fail beyond +25%) and
-//! `--min-ms F` (default 0.05: pairs whose gated statistic sits under
-//! the floor on either side are reported but not gated — microsecond
-//! timings are scheduler noise). The gated statistic is the **minimum**
-//! solve time over the replications (`exec_ms.min`): noise is additive,
-//! so minima are stable where means flap (see `dve_bench::diff`).
-//!
-//! The tool dispatches on the documents' `experiment` field: when both
-//! sides are `BENCH_recover.json` records it gates the **recovery
-//! trajectory** instead — per schedule scenario, `events_to_recover`
-//! must not grow past the threshold (floored at one 600-event epoch:
-//! recovery is epoch-quantized) and `full_repairs` must be zero.
-//! When both sides are `BENCH_burst.json` records it gates the **ingest
-//! tail** — per burst scenario, `p999_ms` must not grow past the
-//! threshold (floored at 2 ms: sub-floor tails are scheduler jitter)
-//! and `shed_leaves` must be zero. When both sides are
-//! `BENCH_serve_mc.json` records it gates the **sharded serving
-//! throughput** — `events_per_s` must not fall below
-//! `baseline / (1 + threshold)` (note the inversion: throughput, not
-//! latency), and every width of the baseline's speedup `curve` is held
-//! to the same bound individually, so parallel efficiency lost at one
-//! width cannot hide behind the headline.
-//! When both sides are `BENCH_alloc.json` records it gates the
-//! **steady-state allocation budget** — `allocs_per_event` against the
-//! absolute landing budget (2/event; a crept-up baseline cannot launder
-//! more creep) and `bytes_per_event` against the threshold relative to
-//! the baseline (floored at 8 bytes/event).
-//! Mixing record kinds is a usage error, as is mixing widths
-//! (every record carries `threads`).
+//! Compares a fresh bench record against its committed baseline:
+//! `bench_diff target/bench-records/BENCH_<name>.json BENCH_<name>.json`.
+//! Each metric carries its own gate (see `dve_bench::diff`), so the tool
+//! takes no thresholds. Exits 0 when every gate holds; 1 on a failed
+//! gate, a missing metric or a `bench`/`tier` mismatch; 2 on usage or
+//! parse errors, and when the records were measured at different worker
+//! widths (a refusal, not a verdict).
 
-use dve_bench::diff::{
-    alloc_entry, compare, compare_alloc, compare_burst, compare_recover, compare_serve_mc, entries,
-    is_alloc_doc, is_burst_doc, is_recover_doc, is_serve_mc_doc, parse, recover_entries,
-    serve_mc_entry, thread_mismatch, AllocEntry, BenchEntry, BurstEntry, DiffReport, Json,
-    RecoverEntry, ServeMcEntry,
-};
-
-fn load_doc(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn table1_entries(doc: &Json, path: &str) -> Vec<BenchEntry> {
-    entries(doc).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn recovery_entries(doc: &Json, path: &str) -> Vec<RecoverEntry> {
-    recover_entries(doc).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn burst_scenarios(doc: &Json, path: &str) -> Vec<BurstEntry> {
-    dve_bench::diff::burst_entries(doc).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn serve_mc_record(doc: &Json, path: &str) -> ServeMcEntry {
-    serve_mc_entry(doc).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn alloc_record(doc: &Json, path: &str) -> AllocEntry {
-    alloc_entry(doc).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// One 600-event churn epoch: recovery is observed at epoch boundaries,
-/// so `events_to_recover` deltas inside one epoch are quantization.
-const RECOVER_FLOOR_EVENTS: f64 = 600.0;
-
-/// Tail-latency floor for the burst gate: when both sides' p99.9 sits
-/// at or under 2 ms, the delta is shared-runner scheduler jitter, not a
-/// code change (the bench's own hard budget is 5 ms).
-const BURST_FLOOR_MS: f64 = 2.0;
-
-/// Absolute allocation budget for the alloc gate: amortized allocations
-/// per steady-state serve event must stay at or under this no matter
-/// what the baseline recorded (the bench asserts the same bound).
-const ALLOC_BUDGET_PER_EVENT: f64 = 2.0;
-
-/// Byte floor for the alloc gate: when both sides allocate at most this
-/// many bytes per steady event, the relative delta is allocator
-/// bookkeeping noise, not a leak.
-const ALLOC_FLOOR_BYTES: f64 = 8.0;
-
-fn diff_burst(paths: &[String], fresh: &[BurstEntry], baseline: &[BurstEntry], threshold: f64) {
-    let report = compare_burst(fresh, baseline, threshold, BURST_FLOOR_MS);
-    println!(
-        "bench_diff: {} vs {} (burst records): {} scenarios compared, {} within the \
-         {BURST_FLOOR_MS:.0} ms jitter floor, threshold +{:.0}%",
-        paths[0],
-        paths[1],
-        report.compared,
-        report.below_floor,
-        threshold * 100.0
-    );
-    for base in baseline {
-        if let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) {
-            println!(
-                "  {:<14} p999 {:>7.3} ms -> {:>7.3} ms  shed {:.0} -> {:.0}  \
-                 shed_leaves {:.0} -> {:.0}  events {:.0} -> {:.0}",
-                base.scenario,
-                base.p999_ms,
-                new.p999_ms,
-                base.shed_events,
-                new.shed_events,
-                base.shed_leaves,
-                new.shed_leaves,
-                base.events,
-                new.events,
-            );
-        }
-    }
-    for added in &report.added {
-        println!("  NEW scenario (no baseline yet, not gated): {added}");
-    }
-    for missing in &report.missing {
-        println!("  MISSING in fresh results: {missing}");
-    }
-    for r in &report.regressions {
-        if r.algorithm == "shed_leaves" {
-            println!(
-                "  REGRESSION {:<14} {:.0} Leave(s) shed at the buffer bound (must be 0)",
-                r.config, r.fresh_ms
-            );
-        } else {
-            println!(
-                "  REGRESSION {:<14} p999 {:.3} ms -> {:.3} ms ({:.2}x, limit {:.2}x)",
-                r.config,
-                r.baseline_ms,
-                r.fresh_ms,
-                r.ratio(),
-                1.0 + threshold
-            );
-        }
-    }
-    finish(&report);
-}
-
-fn diff_recover(
-    paths: &[String],
-    fresh: &[RecoverEntry],
-    baseline: &[RecoverEntry],
-    threshold: f64,
-) {
-    let report = compare_recover(fresh, baseline, threshold, RECOVER_FLOOR_EVENTS);
-    println!(
-        "bench_diff: {} vs {} (recovery records): {} scenarios compared, {} within the \
-         {RECOVER_FLOOR_EVENTS:.0}-event epoch floor, threshold +{:.0}%",
-        paths[0],
-        paths[1],
-        report.compared,
-        report.below_floor,
-        threshold * 100.0
-    );
-    for base in baseline {
-        if let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) {
-            println!(
-                "  {:<14} events_to_recover {:>6.0} -> {:>6.0}  full_repairs {:.0} -> {:.0}  \
-                 shed {:.0} -> {:.0}  trough {:.3} -> {:.3}",
-                base.scenario,
-                base.events_to_recover,
-                new.events_to_recover,
-                base.full_repairs,
-                new.full_repairs,
-                base.shed_events,
-                new.shed_events,
-                base.trough_pqos,
-                new.trough_pqos,
-            );
-        }
-    }
-    for added in &report.added {
-        println!("  NEW scenario (no baseline yet, not gated): {added}");
-    }
-    for missing in &report.missing {
-        println!("  MISSING in fresh results: {missing}");
-    }
-    for r in &report.regressions {
-        if r.algorithm == "full_repairs" {
-            println!(
-                "  REGRESSION {:<14} {:.0} full-repair fallback(s) on the failure path (must be 0)",
-                r.config, r.fresh_ms
-            );
-        } else {
-            println!(
-                "  REGRESSION {:<14} events_to_recover {:.0} -> {:.0} ({:.2}x, limit {:.2}x)",
-                r.config,
-                r.baseline_ms,
-                r.fresh_ms,
-                r.ratio(),
-                1.0 + threshold
-            );
-        }
-    }
-    finish(&report);
-}
-
-fn diff_serve_mc(paths: &[String], fresh: &ServeMcEntry, baseline: &ServeMcEntry, threshold: f64) {
-    let report = compare_serve_mc(fresh, baseline, threshold);
-    println!(
-        "bench_diff: {} vs {} (sharded-serving records): tier {}, threshold -{:.0}% throughput",
-        paths[0],
-        paths[1],
-        baseline.tier,
-        threshold * 100.0
-    );
-    println!(
-        "  events/s {:.0} -> {:.0}  (1-shard {:.0} -> {:.0}, in-process speedup {:.2}x -> {:.2}x)",
-        baseline.events_per_s,
-        fresh.events_per_s,
-        baseline.events_per_s_1shard,
-        fresh.events_per_s_1shard,
-        baseline.speedup_in_process,
-        fresh.speedup_in_process,
-    );
-    for &(threads, base_eps) in &baseline.curve {
-        if let Some(&(_, new_eps)) = fresh.curve.iter().find(|(w, _)| *w == threads) {
-            println!("  curve @ {threads:>2} workers: {base_eps:.0} -> {new_eps:.0} events/s");
-        }
-    }
-    for added in &report.added {
-        println!("  NEW curve width (no baseline yet, not gated): {added}");
-    }
-    for missing in &report.missing {
-        println!("  MISSING in fresh results: {missing} (re-baseline if intentional)");
-    }
-    for r in &report.regressions {
-        println!(
-            "  REGRESSION {:<14} events/s {:.0} -> {:.0} ({:.2}x, limit {:.2}x of baseline)",
-            r.config,
-            r.baseline_ms,
-            r.fresh_ms,
-            r.fresh_ms / r.baseline_ms,
-            1.0 / (1.0 + threshold)
-        );
-    }
-    finish(&report);
-}
-
-fn diff_alloc(paths: &[String], fresh: &AllocEntry, baseline: &AllocEntry, threshold: f64) {
-    let report = compare_alloc(
-        fresh,
-        baseline,
-        threshold,
-        ALLOC_BUDGET_PER_EVENT,
-        ALLOC_FLOOR_BYTES,
-    );
-    println!(
-        "bench_diff: {} vs {} (allocation records): tier {}, budget \
-         {ALLOC_BUDGET_PER_EVENT} allocs/event, bytes threshold +{:.0}%",
-        paths[0],
-        paths[1],
-        baseline.tier,
-        threshold * 100.0
-    );
-    println!(
-        "  allocs/event {:.4} -> {:.4}  bytes/event {:.1} -> {:.1}  over {:.0} steady events",
-        baseline.allocs_per_event,
-        fresh.allocs_per_event,
-        baseline.bytes_per_event,
-        fresh.bytes_per_event,
-        fresh.steady_events,
-    );
-    for missing in &report.missing {
-        println!("  MISSING in fresh results: {missing} (re-baseline if intentional)");
-    }
-    for r in &report.regressions {
-        if r.algorithm == "allocs_per_event" {
-            println!(
-                "  REGRESSION {:<14} {:.4} allocs/event over the absolute {:.1} budget",
-                r.config, r.fresh_ms, r.baseline_ms
-            );
-        } else {
-            println!(
-                "  REGRESSION {:<14} bytes/event {:.1} -> {:.1} ({:.2}x, limit {:.2}x)",
-                r.config,
-                r.baseline_ms,
-                r.fresh_ms,
-                r.ratio(),
-                1.0 + threshold
-            );
-        }
-    }
-    finish(&report);
-}
-
-/// Prints the verdict and exits non-zero on failure (shared tail of
-/// both diff modes).
-fn finish(report: &DiffReport) {
-    if report.passed() {
-        println!("bench_diff: PASS");
-    } else {
-        println!(
-            "bench_diff: FAIL ({} regressions, {} missing)",
-            report.regressions.len(),
-            report.missing.len()
-        );
-        std::process::exit(1);
-    }
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench_diff <fresh.json> <baseline.json> [--threshold F] [--min-ms F]");
-    std::process::exit(2);
-}
+use dve_bench::diff::{compare, Record, Verdict};
+use std::process::exit;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut threshold = 0.25f64;
-    let mut floor_ms = 0.05f64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                threshold = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--min-ms" => {
-                floor_ms = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            other if !other.starts_with("--") => paths.push(other.to_string()),
-            _ => usage(),
-        }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.len() != 2 || paths.iter().any(|p| p.starts_with("--")) {
+        eprintln!("usage: bench_diff <fresh.json> <baseline.json>");
+        exit(2);
     }
-    if paths.len() != 2 {
-        usage();
-    }
-    let fresh_doc = load_doc(&paths[0]);
-    let baseline_doc = load_doc(&paths[1]);
-    if let Some((f, b)) = thread_mismatch(&fresh_doc, &baseline_doc) {
+    let [fresh, base] = [&paths[0], &paths[1]].map(|path| {
+        Record::load(path).unwrap_or_else(|e| {
+            eprintln!("bench_diff: {e}");
+            exit(2)
+        })
+    });
+    let diff = compare(&fresh, &base).unwrap_or_else(|why| {
         eprintln!(
-            "bench_diff: refusing to compare: {} was measured on {f} thread(s) but {} on {b} — \
-             widths must match for a like-for-like diff (re-measure, or commit a baseline for \
-             this width)",
+            "bench_diff: refusing to compare {} with {}: {why}; re-measure at the same width, \
+             or commit a baseline for this one",
             paths[0], paths[1]
         );
-        std::process::exit(2);
-    }
-    let kind = |doc: &Json| {
-        if is_recover_doc(doc) {
-            "recovery"
-        } else if is_burst_doc(doc) {
-            "burst"
-        } else if is_serve_mc_doc(doc) {
-            "serve_mc"
-        } else if is_alloc_doc(doc) {
-            "alloc"
-        } else {
-            "table1"
-        }
-    };
-    let (fresh_kind, baseline_kind) = (kind(&fresh_doc), kind(&baseline_doc));
-    if fresh_kind != baseline_kind {
-        eprintln!(
-            "bench_diff: refusing to compare: {} is a {fresh_kind} record but {} is a \
-             {baseline_kind} record — both sides must come from the same bench",
-            paths[0], paths[1]
-        );
-        std::process::exit(2);
-    }
-    match fresh_kind {
-        "recovery" => {
-            let fresh = recovery_entries(&fresh_doc, &paths[0]);
-            let baseline = recovery_entries(&baseline_doc, &paths[1]);
-            diff_recover(&paths, &fresh, &baseline, threshold);
-            return;
-        }
-        "burst" => {
-            let fresh = burst_scenarios(&fresh_doc, &paths[0]);
-            let baseline = burst_scenarios(&baseline_doc, &paths[1]);
-            diff_burst(&paths, &fresh, &baseline, threshold);
-            return;
-        }
-        "serve_mc" => {
-            let fresh = serve_mc_record(&fresh_doc, &paths[0]);
-            let baseline = serve_mc_record(&baseline_doc, &paths[1]);
-            diff_serve_mc(&paths, &fresh, &baseline, threshold);
-            return;
-        }
-        "alloc" => {
-            let fresh = alloc_record(&fresh_doc, &paths[0]);
-            let baseline = alloc_record(&baseline_doc, &paths[1]);
-            diff_alloc(&paths, &fresh, &baseline, threshold);
-            return;
-        }
-        _ => {}
-    }
-    let fresh = table1_entries(&fresh_doc, &paths[0]);
-    let baseline = table1_entries(&baseline_doc, &paths[1]);
-
-    let report = compare(&fresh, &baseline, threshold, floor_ms);
-    println!(
-        "bench_diff: {} vs {}: {} pairs compared, {} below the {floor_ms} ms floor, \
-         threshold +{:.0}%",
-        paths[0],
-        paths[1],
-        report.compared,
-        report.below_floor,
-        threshold * 100.0
-    );
-    for base in &baseline {
-        if let Some(new) = fresh
-            .iter()
-            .find(|e| e.config == base.config && e.algorithm == base.algorithm)
-        {
-            println!(
-                "  {:<24} {:<12} min {:>10.3} ms -> {:>10.3} ms ({:+.1}%)  mean {:>10.3} -> {:>10.3}",
-                base.config,
-                base.algorithm,
-                base.exec_ms,
-                new.exec_ms,
-                (new.exec_ms / base.exec_ms - 1.0) * 100.0,
-                base.exec_mean_ms,
-                new.exec_mean_ms,
-            );
-        }
-    }
-    for added in &report.added {
-        println!("  NEW pair (no baseline yet, not gated): {added}");
-    }
-    for missing in &report.missing {
-        println!("  MISSING in fresh results: {missing}");
-    }
-    for r in &report.regressions {
+        exit(2)
+    });
+    let tier = base.tier.as_deref().unwrap_or("-");
+    let (bench, threads) = (&base.bench, base.threads);
+    println!("bench_diff: {paths:?}: {bench}, {threads} thread(s), tier {tier}");
+    diff.mismatches
+        .iter()
+        .for_each(|m| println!("  MISMATCH {m}"));
+    let show = |v: Option<f64>| v.map_or("-".to_string(), |v| v.to_string());
+    for row in &diff.rows {
+        let verdict = match &row.verdict {
+            Verdict::Within => "ok".to_string(),
+            Verdict::Reported => String::new(),
+            Verdict::New => "NEW (no baseline yet)".to_string(),
+            Verdict::Missing => "MISSING in fresh results".to_string(),
+            Verdict::Failed(why) => format!("REGRESSION: {why}"),
+        };
+        let (name, base, fresh) = (&row.name, show(row.base), show(row.fresh));
         println!(
-            "  REGRESSION {:<24} {:<12} {:.3} ms -> {:.3} ms ({:.2}x, limit {:.2}x)",
-            r.config,
-            r.algorithm,
-            r.baseline_ms,
-            r.fresh_ms,
-            r.ratio(),
-            1.0 + threshold
+            "  {name:<48} {base:>14} -> {fresh:<14} {:<24} {verdict}",
+            row.gate
         );
     }
-    finish(&report);
+    let failures = diff.mismatches.len() + diff.rows.iter().filter(|r| r.failed()).count();
+    if failures > 0 {
+        println!("bench_diff: FAIL ({failures} failure(s))");
+        exit(1);
+    }
+    println!("bench_diff: PASS");
 }

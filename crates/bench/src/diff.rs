@@ -1,19 +1,22 @@
-//! Perf-trajectory regression checking for `BENCH_table1.json`.
+//! One self-describing bench record, and the one comparator that gates it.
 //!
-//! `run_all` (and `table1 --json`) emit a machine-readable baseline of
-//! per-algorithm solve times. CI regenerates a fresh copy and runs
-//! [`compare`] against the committed one, failing the build when any
-//! (configuration, algorithm) pair regressed by more than the threshold
-//! — the bench-regression gate of the perf trajectory. The gated
-//! statistic is the **minimum** over the replications (see
-//! [`BenchEntry::exec_ms`]): timing noise is additive, so minima are
-//! the stable signal on shared runners.
+//! Every bench writes the same [`Record`]: a header (bench, worker width,
+//! tier when there is one, peak RSS) and a flat list of metrics, each
+//! carrying its own gate or none when it is only reported. [`compare`]
+//! applies the gates:
 //!
-//! The workspace's serde is a vendored no-op stub (`vendor/README.md`),
-//! so this module carries its own minimal JSON reader: [`parse`]
-//! understands exactly the JSON subset the baseline files use (objects,
-//! arrays, strings without escapes beyond `\"`/`\\`/`\/`/`\n`/`\t`,
-//! f64 numbers, booleans, null).
+//! * `better` + `rel`, read from the **baseline** so a fresh run cannot
+//!   loosen its own gate: lower-is-better fails above `base * (1 + rel)`,
+//!   higher-is-better below `base / (1 + rel)`;
+//! * `floor`: a fresh value inside it never fails its `rel` gate (epoch
+//!   quantization, scheduler jitter, allocator bookkeeping);
+//! * `abs_max`: a ceiling on every fresh value that carries one or
+//!   whose baseline does, new scenarios included.
+//!
+//! A baseline metric the fresh record lacks fails; a new one is listed.
+//! Records of different widths are refused; a `bench` or `tier` mismatch
+//! fails. [`parse`] reads the JSON subset the records use (objects,
+//! arrays, strings escaping only `\"\\/nt`, f64 numbers, booleans, null).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,43 +69,19 @@ impl Json {
     }
 }
 
-/// A parse failure with its byte offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub offset: usize,
-    /// What was expected.
-    pub message: String,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn error<T>(&self, message: &str) -> Result<T, JsonError> {
-        Err(JsonError {
-            offset: self.pos,
-            message: message.to_string(),
-        })
+    fn error<T>(&self, message: &str) -> Result<T, String> {
+        Err(format!("JSON error at byte {}: {message}", self.pos))
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
@@ -115,7 +94,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.eat(b) {
             Ok(())
         } else {
@@ -123,7 +102,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
             Some(b'{') => self.object(),
@@ -137,7 +116,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
@@ -146,14 +125,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(
+            self.bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf8");
         match text.parse::<f64>() {
@@ -165,7 +143,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out: Vec<u8> = Vec::new();
         loop {
@@ -201,7 +179,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -218,7 +196,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -241,8 +219,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a JSON document (the subset the baseline files use).
-pub fn parse(text: &str) -> Result<Json, JsonError> {
+/// Parses a JSON document (the subset the records use).
+pub fn parse(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -255,675 +233,528 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
-/// One (configuration, algorithm) measurement from a baseline file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Scenario notation, e.g. `20s-80z-1000c-500cp`.
-    pub config: String,
-    /// Algorithm display name.
-    pub algorithm: String,
-    /// **Minimum** solve time across the replications, milliseconds —
-    /// the statistic the gate compares. Wall-clock noise on shared CI
-    /// runners is strictly additive, so min-of-N is far more stable than
-    /// the mean (observed on a busy single-core box: means of identical
-    /// builds swing ±45%, minima stay within ~10–20%).
-    pub exec_ms: f64,
-    /// Mean solve time, milliseconds (reported, not gated).
-    pub exec_mean_ms: f64,
-    /// Replications behind the statistics. With a single sample the
-    /// "minimum" is just that sample, so [`compare`] gates such pairs at
-    /// double the threshold (long exact-solver runs amortise scheduler
-    /// noise, but one sample deserves slack).
-    pub samples: u64,
-    /// Mean pQoS (carried along for the report; not gated).
-    pub pqos: f64,
+/// Which direction of a gated metric is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Times, latencies, counts of bad events.
+    Lower,
+    /// Throughputs.
+    Higher,
 }
 
-/// Extracts the per-algorithm measurements of a `BENCH_table1.json`
-/// document.
-pub fn entries(doc: &Json) -> Result<Vec<BenchEntry>, String> {
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'rows' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let config = row
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or("row without 'config'")?;
-        let algorithms = row
-            .get("algorithms")
+/// One measured value and the gate that defends it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Unique within its record, e.g. `single/events_to_recover`.
+    pub name: String,
+    /// The measurement.
+    pub value: f64,
+    /// Direction of the `rel` gate.
+    pub better: Better,
+    /// Relative bound against the baseline (`None`: no relative gate).
+    pub rel: Option<f64>,
+    /// Fresh values inside this bound pass the `rel` gate.
+    pub floor: Option<f64>,
+    /// Absolute ceiling on the fresh value.
+    pub abs_max: Option<f64>,
+}
+
+impl Metric {
+    /// A metric that is only reported. Panics on a non-finite value,
+    /// which JSON cannot carry.
+    pub fn new(name: impl Into<String>, value: f64) -> Metric {
+        let name = name.into();
+        assert!(value.is_finite(), "metric {name} is {value}");
+        Metric {
+            name,
+            value,
+            better: Better::Lower,
+            rel: None,
+            floor: None,
+            abs_max: None,
+        }
+    }
+
+    /// Gates the metric at `rel` above its baseline (lower is better).
+    pub fn lower(mut self, rel: f64) -> Metric {
+        self.rel = Some(rel);
+        self
+    }
+
+    /// Gates the metric at `rel` below its baseline (higher is better).
+    pub fn higher(mut self, rel: f64) -> Metric {
+        self.better = Better::Higher;
+        self.rel = Some(rel);
+        self
+    }
+
+    /// Lets fresh values inside `floor` pass the `rel` gate.
+    pub fn floor(mut self, floor: f64) -> Metric {
+        self.floor = Some(floor);
+        self
+    }
+
+    /// Fails any fresh value above `max`, whatever the baseline says.
+    pub fn abs_max(mut self, max: f64) -> Metric {
+        self.abs_max = Some(max);
+        self
+    }
+
+    /// The gate in words, e.g. `lower +25% floor 600`; empty when the
+    /// metric is only reported.
+    pub fn gate_text(&self) -> String {
+        let mut words = Vec::new();
+        if let Some(rel) = self.rel {
+            words.push(match self.better {
+                Better::Lower => format!("lower +{:.0}%", rel * 100.0),
+                Better::Higher => format!("higher -{:.0}%", rel * 100.0),
+            });
+        }
+        words.extend(self.floor.map(|f| format!("floor {f}")));
+        words.extend(self.abs_max.map(|m| format!("max {m}")));
+        words.join(" ")
+    }
+}
+
+/// A bench record: the header and the metric list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The bench that wrote it; its file is `BENCH_<bench>.json`.
+    pub bench: String,
+    /// Worker width the record was measured at.
+    pub threads: u64,
+    /// Scenario notation, for benches that run one tier.
+    pub tier: Option<String>,
+    /// Peak resident set of the measuring process.
+    pub peak_rss_bytes: u64,
+    /// The measurements, in the order the bench took them.
+    pub metrics: Vec<Metric>,
+}
+
+impl Record {
+    /// An empty record. `dve_bench::write_bench_record` stamps
+    /// `threads` and `peak_rss_bytes` when it writes the file.
+    pub fn new(bench: &str) -> Record {
+        Record {
+            bench: bench.to_string(),
+            threads: 0,
+            tier: None,
+            peak_rss_bytes: 0,
+            metrics: Vec::new(),
+        }
+    }
+
+    /// Sets the scenario tier.
+    pub fn with_tier(mut self, tier: &str) -> Record {
+        self.tier = Some(tier.to_string());
+        self
+    }
+
+    /// Appends a metric that is only reported.
+    pub fn report(&mut self, name: impl Into<String>, value: f64) {
+        self.metrics.push(Metric::new(name, value));
+    }
+
+    /// The value of metric `name`.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        self.metric(name).map(|m| m.value)
+    }
+
+    fn metric(&self, name: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.name == name)
+    }
+
+    /// The record as JSON, one metric per line.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"threads\": {},\n",
+            self.bench, self.threads
+        );
+        if let Some(tier) = &self.tier {
+            out.push_str(&format!("  \"tier\": \"{tier}\",\n"));
+        }
+        out.push_str(&format!(
+            "  \"peak_rss_bytes\": {},\n  \"metrics\": [",
+            self.peak_rss_bytes
+        ));
+        for (i, m) in self.metrics.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            out.push_str(&format!(
+                "{sep}\n    {{\"name\": \"{}\", \"value\": {}",
+                m.name, m.value
+            ));
+            if let Some(rel) = m.rel {
+                let better = if m.better == Better::Lower {
+                    "lower"
+                } else {
+                    "higher"
+                };
+                out.push_str(&format!(", \"better\": \"{better}\", \"rel\": {rel}"));
+            }
+            if let Some(floor) = m.floor {
+                out.push_str(&format!(", \"floor\": {floor}"));
+            }
+            if let Some(max) = m.abs_max {
+                out.push_str(&format!(", \"abs_max\": {max}"));
+            }
+            out.push('}');
+        }
+        out.push_str("\n  ]\n}\n");
+        out
+    }
+
+    /// Reads a record out of a parsed document.
+    pub fn from_json(doc: &Json) -> Result<Record, String> {
+        let num = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_num)
+                .ok_or(format!("no '{key}'"))
+        };
+        let mut metrics = Vec::new();
+        for m in doc
+            .get("metrics")
             .and_then(Json::as_arr)
-            .ok_or("row without 'algorithms'")?;
-        for algo in algorithms {
-            let name = algo
-                .get("algorithm")
+            .ok_or("no 'metrics' array")?
+        {
+            let name = m
+                .get("name")
                 .and_then(Json::as_str)
-                .ok_or("algorithm without a name")?;
-            let exec_ms = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("min"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.min")?;
-            let exec_mean_ms = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("mean"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.mean")?;
-            let samples = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("n"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.n")? as u64;
-            let pqos = algo
-                .get("pqos")
-                .and_then(|s| s.get("mean"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without pqos.mean")?;
-            out.push(BenchEntry {
-                config: config.to_string(),
-                algorithm: name.to_string(),
-                exec_ms,
-                exec_mean_ms,
-                samples,
-                pqos,
+                .ok_or("metric without a 'name'")?;
+            let field = |key: &str| match m.get(key) {
+                None => Ok(None),
+                Some(v) => v
+                    .as_num()
+                    .map(Some)
+                    .ok_or(format!("{name}: '{key}' is not a number")),
+            };
+            let better = match m.get("better").and_then(Json::as_str) {
+                None | Some("lower") => Better::Lower,
+                Some("higher") => Better::Higher,
+                Some(other) => return Err(format!("{name}: better is '{other}'")),
+            };
+            metrics.push(Metric {
+                name: name.to_string(),
+                value: field("value")?.ok_or(format!("{name}: no 'value'"))?,
+                better,
+                rel: field("rel")?,
+                floor: field("floor")?,
+                abs_max: field("abs_max")?,
             });
         }
-    }
-    Ok(out)
-}
-
-/// One scenario row of a `BENCH_recover.json` document — the recovery
-/// gate's shape (see `benches/recover.rs`): how many serving events the
-/// engine needed between the first failure and pQoS restoration, and
-/// whether the failure path ever escalated to the full repair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoverEntry {
-    /// Schedule shape, e.g. `single` / `correlated` / `fail_recover`.
-    pub scenario: String,
-    /// Serving events between the first failure and recovery — the
-    /// gated statistic (deterministic, but epoch-quantized: recovery is
-    /// only observed at epoch boundaries, so it moves in ~600-event
-    /// steps).
-    pub events_to_recover: f64,
-    /// Full-repair fallbacks during the replay. Gated at **zero**
-    /// regardless of the baseline: the failure path promises bounded
-    /// zone-scoped work.
-    pub full_repairs: f64,
-    /// Load shed during the replay (reported, not gated — admission
-    /// policy, not a regression signal).
-    pub shed_events: f64,
-    /// Worst pQoS observed after the failure (reported, not gated —
-    /// the bench itself asserts the collapse floor).
-    pub trough_pqos: f64,
-}
-
-/// Whether a parsed document is a recovery record (`BENCH_recover.json`)
-/// rather than a Table 1 perf baseline — `bench_diff` dispatches on
-/// this.
-pub fn is_recover_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("recover")
-}
-
-/// Extracts the per-scenario measurements of a `BENCH_recover.json`
-/// document.
-pub fn recover_entries(doc: &Json) -> Result<Vec<RecoverEntry>, String> {
-    let rows = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'scenarios' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scenario without '{key}'"))
-        };
-        out.push(RecoverEntry {
-            scenario: row
-                .get("scenario")
+        Ok(Record {
+            bench: doc
+                .get("bench")
                 .and_then(Json::as_str)
-                .ok_or("scenario without a name")?
+                .ok_or("no 'bench'")?
                 .to_string(),
-            events_to_recover: num("events_to_recover")?,
-            full_repairs: num("full_repairs")?,
-            shed_events: num("shed_events")?,
-            trough_pqos: num("trough_pqos")?,
-        });
+            threads: num("threads")? as u64,
+            tier: doc.get("tier").and_then(Json::as_str).map(str::to_string),
+            peak_rss_bytes: num("peak_rss_bytes")? as u64,
+            metrics,
+        })
     }
-    Ok(out)
+
+    /// Reads and parses the record at `path`.
+    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Record, String> {
+        let path = path.as_ref();
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse(&text))
+            .and_then(|doc| Record::from_json(&doc))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    }
 }
 
-/// Compares fresh recovery measurements against the committed baseline.
-///
-/// Gates, per scenario:
-/// * `full_repairs` must be **zero** in the fresh record (reported as a
-///   regression against the scenario even when the baseline also had
-///   them — the invariant is absolute, not relative);
-/// * `events_to_recover` must not exceed
-///   `baseline * (1 + threshold)` — unless both sides sit at or under
-///   `floor_events` (recovery within the first post-failure epoch:
-///   epoch quantization dominates and there is nothing to gate);
-/// * scenarios present in the baseline must still be measured
-///   (vanished rows fail, like vanished Table 1 pairs); new scenarios
-///   are additions and never gated.
-///
-/// Reuses [`DiffReport`]: `config` carries the scenario name and
-/// `algorithm` the gated statistic, with event counts in the `_ms`
-/// fields.
-pub fn compare_recover(
-    fresh: &[RecoverEntry],
-    baseline: &[RecoverEntry],
-    threshold: f64,
-    floor_events: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if new.full_repairs > 0.0 {
-            report.regressions.push(Regression {
-                config: new.scenario.clone(),
-                algorithm: "full_repairs".to_string(),
-                baseline_ms: 0.0,
-                fresh_ms: new.full_repairs,
-            });
-        }
-        if !baseline.iter().any(|e| e.scenario == new.scenario) {
-            report.added.push(new.scenario.clone());
-        }
-    }
-    for base in baseline {
-        let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) else {
-            report.missing.push(base.scenario.clone());
-            continue;
-        };
-        if base.events_to_recover <= floor_events && new.events_to_recover <= floor_events {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        if new.events_to_recover > base.events_to_recover * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.scenario.clone(),
-                algorithm: "events_to_recover".to_string(),
-                baseline_ms: base.events_to_recover,
-                fresh_ms: new.events_to_recover,
-            });
-        }
-    }
-    report
-}
-
-/// One scenario row of a `BENCH_burst.json` document — the ingest
-/// front end's burst gate (see `benches/burst.rs`): arrival-to-commit
-/// tail latency and shed accounting for one replayed schedule.
+/// How one metric fared against its gate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BurstEntry {
-    /// Schedule shape, e.g. `flash_crowd` / `exponential`.
-    pub scenario: String,
-    /// p99.9 arrival-to-commit latency, milliseconds — the gated
-    /// statistic (best-of-attempts in the bench, so the committed
-    /// number is already noise-shielded).
-    pub p999_ms: f64,
-    /// Events shed across the ring and the buffer bound (reported and
-    /// bounded by the bench itself; diffed only through the baseline).
-    pub shed_events: f64,
-    /// Departures shed at the buffer bound. Gated at **zero**
-    /// regardless of the baseline: a shed Leave is a phantom client.
-    pub shed_leaves: f64,
-    /// Gated arrivals in the replay (reported, not gated).
-    pub events: f64,
+pub enum Verdict {
+    /// Gated and inside the gate.
+    Within,
+    /// No gate: reported only.
+    Reported,
+    /// Absent from the baseline: listed; fails only over an `abs_max`.
+    New,
+    /// In the baseline but absent from the fresh record: fails.
+    Missing,
+    /// Outside the gate; the text names the bound.
+    Failed(String),
 }
 
-/// Whether a parsed document is a burst record (`BENCH_burst.json`) —
-/// `bench_diff` dispatches on this.
-pub fn is_burst_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("burst")
-}
-
-/// Extracts the per-scenario measurements of a `BENCH_burst.json`
-/// document.
-pub fn burst_entries(doc: &Json) -> Result<Vec<BurstEntry>, String> {
-    let rows = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'scenarios' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scenario without '{key}'"))
-        };
-        out.push(BurstEntry {
-            scenario: row
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("scenario without a name")?
-                .to_string(),
-            p999_ms: num("p999_ms")?,
-            shed_events: num("shed_events")?,
-            shed_leaves: num("shed_leaves")?,
-            events: num("events")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Compares fresh burst measurements against the committed baseline.
-///
-/// Gates, per scenario:
-/// * `shed_leaves` must be **zero** in the fresh record (absolute, like
-///   the recovery gate's `full_repairs` — the invariant holds no matter
-///   what the baseline says);
-/// * `p999_ms` must not exceed `baseline * (1 + threshold)` — unless
-///   both sides sit at or under `floor_ms` (tail latencies under the
-///   floor are scheduler jitter on a shared runner, not signal);
-/// * scenarios present in the baseline must still be measured; new
-///   scenarios are additions and never gated.
-///
-/// Reuses [`DiffReport`]: `config` carries the scenario name and
-/// `algorithm` the gated statistic.
-pub fn compare_burst(
-    fresh: &[BurstEntry],
-    baseline: &[BurstEntry],
-    threshold: f64,
-    floor_ms: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if new.shed_leaves > 0.0 {
-            report.regressions.push(Regression {
-                config: new.scenario.clone(),
-                algorithm: "shed_leaves".to_string(),
-                baseline_ms: 0.0,
-                fresh_ms: new.shed_leaves,
-            });
-        }
-        if !baseline.iter().any(|e| e.scenario == new.scenario) {
-            report.added.push(new.scenario.clone());
-        }
-    }
-    for base in baseline {
-        let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) else {
-            report.missing.push(base.scenario.clone());
-            continue;
-        };
-        if base.p999_ms <= floor_ms && new.p999_ms <= floor_ms {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        if new.p999_ms > base.p999_ms * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.scenario.clone(),
-                algorithm: "p999_ms".to_string(),
-                baseline_ms: base.p999_ms,
-                fresh_ms: new.p999_ms,
-            });
-        }
-    }
-    report
-}
-
-/// The single measurement row of a `BENCH_serve_mc.json` document —
-/// the zone-sharded serving acceptance record (see
-/// `benches/serve_mc.rs`): event throughput at the recorded width, with
-/// the in-process single-shard comparison alongside.
+/// One line of a [`Diff`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeMcEntry {
-    /// Scenario notation the trace ran on (e.g. the production
-    /// `100s-1000z-50000c-65000cp` tier).
-    pub tier: String,
-    /// Serving throughput at the recorded width, events per second —
-    /// the gated statistic.
-    pub events_per_s: f64,
-    /// In-process single-shard throughput, events per second (reported;
-    /// the bench itself gates the width-over-1 ratio).
-    pub events_per_s_1shard: f64,
-    /// In-process width-over-single-shard speedup (reported).
-    pub speedup_in_process: f64,
-    /// The speedup curve: `(threads, events_per_s)` per measured width,
-    /// ascending. Empty for baselines predating the curve. Each width a
-    /// committed baseline carries is gated individually — a regression
-    /// confined to one width (say, 4 workers stopped scaling while 8
-    /// still clears) must not hide behind the headline number.
-    pub curve: Vec<(u64, f64)>,
+pub struct Row {
+    /// Metric name.
+    pub name: String,
+    /// Baseline value, when the baseline has the metric.
+    pub base: Option<f64>,
+    /// Fresh value, when the fresh record has the metric.
+    pub fresh: Option<f64>,
+    /// The gate in words (the baseline's, else the fresh metric's).
+    pub gate: String,
+    /// The outcome.
+    pub verdict: Verdict,
 }
 
-/// Whether a parsed document is a sharded-serving record
-/// (`BENCH_serve_mc.json`) — `bench_diff` dispatches on this.
-pub fn is_serve_mc_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("serve_mc")
-}
-
-/// Extracts the measurement of a `BENCH_serve_mc.json` document.
-pub fn serve_mc_entry(doc: &Json) -> Result<ServeMcEntry, String> {
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    let mut curve = Vec::new();
-    if let Some(points) = doc.get("curve").and_then(Json::as_arr) {
-        for point in points {
-            let threads = point
-                .get("threads")
-                .and_then(Json::as_num)
-                .ok_or("curve point without 'threads'")? as u64;
-            let events_per_s = point
-                .get("events_per_s")
-                .and_then(Json::as_num)
-                .ok_or("curve point without 'events_per_s'")?;
-            curve.push((threads, events_per_s));
-        }
-    }
-    Ok(ServeMcEntry {
-        tier: doc
-            .get("tier")
-            .and_then(Json::as_str)
-            .ok_or("missing 'tier'")?
-            .to_string(),
-        events_per_s: num("events_per_s")?,
-        events_per_s_1shard: num("events_per_s_1shard")?,
-        speedup_in_process: num("speedup_in_process")?,
-        curve,
-    })
-}
-
-/// Compares a fresh sharded-serving measurement against the committed
-/// baseline: `events_per_s` (throughput — *higher* is better, unlike
-/// the solve-time gates) must not fall below
-/// `baseline / (1 + threshold)`. A tier change makes the documents
-/// incomparable and is reported as a missing measurement. The
-/// cross-width refusal is [`thread_mismatch`], shared with every other
-/// record kind.
-///
-/// The speedup **curve** is gated point by point: every width the
-/// baseline's curve carries must still be measured (a vanished width
-/// fails like a vanished Table 1 pair) and must hold its throughput to
-/// the same threshold — parallel efficiency lost at one width is a
-/// regression even when the headline width still clears. Fresh widths
-/// absent from the baseline are additions.
-pub fn compare_serve_mc(
-    fresh: &ServeMcEntry,
-    baseline: &ServeMcEntry,
-    threshold: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    if fresh.tier != baseline.tier {
-        report.missing.push(baseline.tier.clone());
-        return report;
-    }
-    report.compared = 1;
-    if fresh.events_per_s < baseline.events_per_s / (1.0 + threshold) {
-        report.regressions.push(Regression {
-            config: baseline.tier.clone(),
-            algorithm: "events_per_s".to_string(),
-            baseline_ms: baseline.events_per_s,
-            fresh_ms: fresh.events_per_s,
-        });
-    }
-    for &(threads, base_eps) in &baseline.curve {
-        let Some(&(_, new_eps)) = fresh.curve.iter().find(|(w, _)| *w == threads) else {
-            report
-                .missing
-                .push(format!("{} @ {threads} workers", baseline.tier));
-            continue;
-        };
-        report.compared += 1;
-        if new_eps < base_eps / (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: format!("{} @ {threads} workers", baseline.tier),
-                algorithm: "events_per_s".to_string(),
-                baseline_ms: base_eps,
-                fresh_ms: new_eps,
-            });
-        }
-    }
-    for &(threads, _) in &fresh.curve {
-        if !baseline.curve.iter().any(|(w, _)| *w == threads) {
-            report
-                .added
-                .push(format!("{} @ {threads} workers", fresh.tier));
-        }
-    }
-    report
-}
-
-/// The single measurement row of a `BENCH_alloc.json` document — the
-/// steady-state allocation gate (see `benches/alloc.rs`): amortized
-/// allocator traffic per steady serve event at the production tier,
-/// measured under the `count-allocs` counting allocator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocEntry {
-    /// Scenario notation the steady stream replayed (the production
-    /// `100s-1000z-50000c-65000cp` tier).
-    pub tier: String,
-    /// Amortized allocations per steady-state serve event — the gated
-    /// statistic (absolute budget, not drift).
-    pub allocs_per_event: f64,
-    /// Amortized allocated bytes per steady-state serve event (gated
-    /// relative to the baseline).
-    pub bytes_per_event: f64,
-    /// Steady events measured (reported, not gated).
-    pub steady_events: f64,
-}
-
-/// Whether a parsed document is an allocation record
-/// (`BENCH_alloc.json`) — `bench_diff` dispatches on this.
-pub fn is_alloc_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("alloc")
-}
-
-/// Extracts the measurement of a `BENCH_alloc.json` document.
-pub fn alloc_entry(doc: &Json) -> Result<AllocEntry, String> {
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    Ok(AllocEntry {
-        tier: doc
-            .get("tier")
-            .and_then(Json::as_str)
-            .ok_or("missing 'tier'")?
-            .to_string(),
-        allocs_per_event: num("allocs_per_event")?,
-        bytes_per_event: num("bytes_per_event")?,
-        steady_events: num("steady_events")?,
-    })
-}
-
-/// Compares a fresh allocation measurement against the committed
-/// baseline.
-///
-/// Gates:
-/// * `allocs_per_event` against the **absolute** `alloc_budget` — the
-///   zero-alloc claim is a property of the HEAD build, so a baseline
-///   that itself crept up must not launder further creep;
-/// * `bytes_per_event` against `baseline * (1 + threshold)` — unless
-///   both sides sit at or under `floor_bytes` (single-digit bytes per
-///   event are allocator bookkeeping noise, not a leak);
-/// * a tier change makes the documents incomparable and is reported as
-///   a missing measurement.
-pub fn compare_alloc(
-    fresh: &AllocEntry,
-    baseline: &AllocEntry,
-    threshold: f64,
-    alloc_budget: f64,
-    floor_bytes: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    if fresh.tier != baseline.tier {
-        report.missing.push(baseline.tier.clone());
-        return report;
-    }
-    report.compared = 1;
-    if fresh.allocs_per_event > alloc_budget {
-        report.regressions.push(Regression {
-            config: fresh.tier.clone(),
-            algorithm: "allocs_per_event".to_string(),
-            baseline_ms: alloc_budget,
-            fresh_ms: fresh.allocs_per_event,
-        });
-    }
-    if fresh.bytes_per_event <= floor_bytes && baseline.bytes_per_event <= floor_bytes {
-        report.below_floor += 1;
-    } else {
-        report.compared += 1;
-        if fresh.bytes_per_event > baseline.bytes_per_event * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: baseline.tier.clone(),
-                algorithm: "bytes_per_event".to_string(),
-                baseline_ms: baseline.bytes_per_event,
-                fresh_ms: fresh.bytes_per_event,
-            });
-        }
-    }
-    report
-}
-
-/// The top-level `threads` field of a baseline document, when present
-/// (baselines predating the field have none).
-pub fn doc_threads(doc: &Json) -> Option<u64> {
-    doc.get("threads").and_then(Json::as_num).map(|x| x as u64)
-}
-
-/// Returns `(fresh, baseline)` worker widths when both documents declare
-/// them and they differ. Timings from different widths are not
-/// like-for-like — a 1-thread baseline would hide a multi-core
-/// regression (or flag a phantom one) — so the gate must **refuse** to
-/// diff such documents instead of silently comparing them.
-pub fn thread_mismatch(fresh: &Json, baseline: &Json) -> Option<(u64, u64)> {
-    match (doc_threads(fresh), doc_threads(baseline)) {
-        (Some(f), Some(b)) if f != b => Some((f, b)),
-        _ => None,
+impl Row {
+    /// Whether this row fails the diff.
+    pub fn failed(&self) -> bool {
+        matches!(self.verdict, Verdict::Missing | Verdict::Failed(_))
     }
 }
 
-/// One over-threshold slowdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Scenario notation.
-    pub config: String,
-    /// Algorithm display name.
-    pub algorithm: String,
-    /// Committed baseline minimum, ms.
-    pub baseline_ms: f64,
-    /// Freshly measured minimum, ms.
-    pub fresh_ms: f64,
-}
-
-impl Regression {
-    /// Slowdown factor (fresh / baseline).
-    pub fn ratio(&self) -> f64 {
-        self.fresh_ms / self.baseline_ms
-    }
-}
-
-/// Outcome of comparing a fresh baseline against the committed one.
+/// The outcome of comparing a fresh record against its baseline.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct DiffReport {
-    /// Pairs actually compared against the threshold.
-    pub compared: usize,
-    /// Pairs skipped because either side's gated minimum sat below the
-    /// noise floor.
-    pub below_floor: usize,
-    /// Baseline pairs with no fresh counterpart (renamed/removed tiers
-    /// fail the gate: a silently dropped measurement is a regression).
-    pub missing: Vec<String>,
-    /// Fresh pairs with no baseline counterpart — **additions, not
-    /// regressions** (a new tier or algorithm landing in the same PR as
-    /// its first measurement). Reported so the operator commits the
-    /// fresh file as the next baseline; never fails the gate.
-    pub added: Vec<String>,
-    /// Over-threshold slowdowns.
-    pub regressions: Vec<Regression>,
+pub struct Diff {
+    /// Header mismatches (`bench`, `tier`); each fails the diff.
+    pub mismatches: Vec<String>,
+    /// Baseline metrics in order, then the fresh record's new ones.
+    pub rows: Vec<Row>,
 }
 
-impl DiffReport {
+impl Diff {
     /// Whether the gate passes.
     pub fn passed(&self) -> bool {
-        self.missing.is_empty() && self.regressions.is_empty()
+        self.mismatches.is_empty() && !self.rows.iter().any(Row::failed)
     }
 }
 
-/// Compares `fresh` measurements against the committed `baseline`.
-///
-/// The gated statistic is each pair's **minimum** solve time
-/// ([`BenchEntry::exec_ms`]); a pair regresses when
-/// `fresh > baseline * (1 + threshold)`. Pairs where either side's
-/// minimum is under `floor_ms` are reported but not gated: sub-floor
-/// timings are scheduler noise, and failing CI on a 3 µs → 5 µs
-/// "regression" would make the gate useless. Pairs where either side
-/// has a single replication (the exact solver in CI) are gated at
-/// **double** the threshold — one sample of a long solve amortises
-/// noise well, but has no minimum-of-N protection. Extra fresh entries
-/// (new tiers/algorithms) are listed in [`DiffReport::added`] and never
-/// gated — they become the baseline when committed.
-pub fn compare(
-    fresh: &[BenchEntry],
-    baseline: &[BenchEntry],
-    threshold: f64,
-    floor_ms: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if !baseline
-            .iter()
-            .any(|e| e.config == new.config && e.algorithm == new.algorithm)
-        {
-            report
-                .added
-                .push(format!("{} / {}", new.config, new.algorithm));
-        }
+/// Compares `fresh` against the committed `base` (see the module docs
+/// for the rules). Returns `Err` — a refusal, not a failure — when the
+/// two were measured at different worker widths: such timings are not
+/// like for like, and a wider baseline would hide a regression.
+pub fn compare(fresh: &Record, base: &Record) -> Result<Diff, String> {
+    if fresh.threads != base.threads {
+        let (f, b) = (fresh.threads, base.threads);
+        return Err(format!("measured at width {f}, baseline at {b}"));
     }
-    for base in baseline {
-        let Some(new) = fresh
-            .iter()
-            .find(|e| e.config == base.config && e.algorithm == base.algorithm)
-        else {
-            report
-                .missing
-                .push(format!("{} / {}", base.config, base.algorithm));
-            continue;
-        };
-        if base.exec_ms < floor_ms || new.exec_ms < floor_ms {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        let threshold = if base.samples < 2 || new.samples < 2 {
-            threshold * 2.0
+    let mut diff = Diff::default();
+    if fresh.bench != base.bench {
+        diff.mismatches
+            .push(format!("bench '{}' vs '{}'", fresh.bench, base.bench));
+    }
+    if fresh.tier != base.tier {
+        diff.mismatches
+            .push(format!("tier {:?} vs {:?}", fresh.tier, base.tier));
+    }
+    let row = |f: Option<&Metric>, b: Option<&Metric>| Row {
+        name: f.or(b).map(|m| m.name.clone()).unwrap_or_default(),
+        base: b.map(|b| b.value),
+        fresh: f.map(|f| f.value),
+        gate: b.or(f).map(Metric::gate_text).unwrap_or_default(),
+        verdict: f.map_or(Verdict::Missing, |f| check(f, b)),
+    };
+    for b in &base.metrics {
+        diff.rows.push(row(fresh.metric(&b.name), Some(b)));
+    }
+    for f in fresh
+        .metrics
+        .iter()
+        .filter(|f| base.metric(&f.name).is_none())
+    {
+        diff.rows.push(row(Some(f), None));
+    }
+    Ok(diff)
+}
+
+fn check(fresh: &Metric, base: Option<&Metric>) -> Verdict {
+    let abs_max = [fresh.abs_max, base.and_then(|b| b.abs_max)]
+        .into_iter()
+        .flatten()
+        .reduce(f64::min);
+    if let Some(max) = abs_max.filter(|&max| fresh.value > max) {
+        return Verdict::Failed(format!("over the absolute max {max}"));
+    }
+    let Some(base) = base else {
+        return Verdict::New;
+    };
+    let Some(rel) = base.rel else {
+        return if abs_max.is_some() {
+            Verdict::Within
         } else {
-            threshold
+            Verdict::Reported
         };
-        if new.exec_ms > base.exec_ms * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.config.clone(),
-                algorithm: base.algorithm.clone(),
-                baseline_ms: base.exec_ms,
-                fresh_ms: new.exec_ms,
-            });
+    };
+    let (v, floor) = (fresh.value, base.floor);
+    let (inside, limit) = match base.better {
+        Better::Lower => {
+            let limit = base.value * (1.0 + rel);
+            (v <= limit || floor.is_some_and(|f| v <= f), limit)
         }
+        Better::Higher => {
+            let limit = base.value / (1.0 + rel);
+            (v >= limit || floor.is_some_and(|f| v >= f), limit)
+        }
+    };
+    if inside {
+        Verdict::Within
+    } else {
+        Verdict::Failed(format!("past the limit {limit}"))
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(config: &str, algorithm: &str, exec_ms: f64) -> BenchEntry {
-        BenchEntry {
-            config: config.to_string(),
-            algorithm: algorithm.to_string(),
-            exec_ms,
-            exec_mean_ms: exec_ms * 1.2,
-            samples: 10,
-            pqos: 0.9,
+    fn rec(metrics: Vec<Metric>) -> Record {
+        Record {
+            threads: 1,
+            metrics,
+            ..Record::new("b")
         }
+    }
+
+    /// One gate probe: the baseline metric, the fresh one (`None`:
+    /// absent) and whether the diff passes. `tag` names the gate.
+    type Case = (&'static str, Option<Metric>, Option<Metric>, bool);
+
+    /// A fresh value against a gated baseline of the same name.
+    fn probe(tag: &'static str, base: Metric, fresh: f64, passes: bool) -> Case {
+        let fresh = Metric {
+            value: fresh,
+            ..base.clone()
+        };
+        (tag, Some(base), Some(fresh), passes)
+    }
+
+    /// A fresh metric with no baseline.
+    fn added(tag: &'static str, fresh: Metric, passes: bool) -> Case {
+        (tag, None, Some(fresh), passes)
+    }
+
+    /// Every gate carried over from the per-bench comparators, each with
+    /// a value just inside and just outside it.
+    fn cases() -> Vec<Case> {
+        let exec = |v| Metric::new("c/A/exec_ms", v).lower(0.25);
+        let single = |v| Metric::new("c/lp/exec_ms", v).lower(0.5);
+        let events = |v| Metric::new("s/events", v).lower(0.25).floor(600.0);
+        let zero = |name: &str, v| Metric::new(name, v).abs_max(0.0);
+        let p999 = |v| Metric::new("s/p999_ms", v).lower(0.25).floor(2.0);
+        let eps = |name: &str, v| Metric::new(name, v).higher(0.25);
+        let allocs = |v| Metric::new("allocs_per_event", v).abs_max(2.0);
+        let bytes = |v| Metric::new("bytes_per_event", v).lower(0.25).floor(8.0);
+        vec![
+            probe("rel", exec(10.0), 12.5, true),
+            probe("rel", exec(10.0), 12.51, false),
+            probe("single", single(100.0), 150.0, true),
+            probe("single", single(100.0), 150.1, false),
+            // table1 writes no gate under 0.05 ms: any fresh value passes.
+            probe("subfloor", Metric::new("c/A/exec_ms", 0.003), 10.0, true),
+            probe("recover", events(1200.0), 1500.0, true),
+            probe("recover", events(1200.0), 1501.0, false),
+            probe("recover", zero("s/full_repairs", 0.0), 0.0, true),
+            probe("recover", zero("s/full_repairs", 0.0), 1.0, false),
+            probe("recover_floor", events(396.0), 600.0, true),
+            probe("recover_floor", events(396.0), 601.0, false),
+            added("recover_floor", zero("new/full_repairs", 0.0), true),
+            added("recover_floor", zero("new/full_repairs", 1.0), false),
+            probe("burst", p999(4.0), 5.0, true),
+            probe("burst", p999(4.0), 5.001, false),
+            probe("burst", zero("s/shed_leaves", 0.0), 1.0, false),
+            probe("burst_floor", p999(1.0), 2.0, true),
+            probe("burst_floor", p999(1.0), 2.001, false),
+            added("burst_floor", zero("new/shed_leaves", 1.0), false),
+            probe("serve_mc", eps("events_per_s", 100_000.0), 80_000.0, true),
+            probe("serve_mc", eps("events_per_s", 100_000.0), 79_999.0, false),
+            probe("curve", eps("events_per_s@2", 140_000.0), 112_000.0, true),
+            probe("curve", eps("events_per_s@2", 140_000.0), 111_999.0, false),
+            ("curve", Some(eps("events_per_s@4", 1.0)), None, false),
+            ("curve", None, Some(eps("events_per_s@8", 1.0)), true),
+            probe("alloc", allocs(0.25), 2.0, true),
+            probe("alloc", allocs(0.25), 2.001, false),
+            // A crept-up baseline cannot launder more creep.
+            probe("alloc", allocs(3.0), 2.5, false),
+            probe("alloc", bytes(2.0), 8.0, true),
+            probe("alloc", bytes(2.0), 8.01, false),
+            probe("alloc", bytes(24.0), 30.0, true),
+            probe("alloc", bytes(24.0), 30.01, false),
+            (
+                "missing",
+                Some(Metric::new("t/A/exec_ms", 10.0)),
+                None,
+                false,
+            ),
+            added("new", Metric::new("t/Z/exec_ms", 1.0).lower(0.25), true),
+        ]
+    }
+
+    /// Runs the cases tagged `tag` (all of them for `""`).
+    fn run(tag: &str) {
+        let picked: Vec<Case> = cases()
+            .into_iter()
+            .filter(|c| tag.is_empty() || c.0 == tag)
+            .collect();
+        assert!(!picked.is_empty(), "no cases tagged {tag}");
+        for (tag, base, fresh, passes) in picked {
+            let what = format!("{tag}: {base:?} -> {fresh:?}");
+            let diff = compare(
+                &rec(fresh.into_iter().collect()),
+                &rec(base.into_iter().collect()),
+            );
+            assert_eq!(diff.unwrap().passed(), passes, "{what}");
+        }
+    }
+
+    #[test]
+    fn carried_gates_pass_just_inside_and_fail_just_outside() {
+        run("");
+        let base = rec(vec![Metric::new("x", 1.0)]);
+        let passed = |fresh: &Record| compare(fresh, &base).map(|d| d.passed());
+        let (mut wide, mut renamed) = (base.clone(), base.clone());
+        (wide.threads, renamed.bench) = (8, "c".to_string());
+        // A width mismatch is a refusal (bench_diff exits 2)...
+        assert!(passed(&wide).is_err());
+        // ...while a tier or bench mismatch fails (exit 1).
+        assert_eq!(passed(&base.clone().with_tier("t")), Ok(false));
+        assert_eq!(passed(&renamed), Ok(false));
+        assert_eq!(passed(&base), Ok(true));
+    }
+
+    #[test]
+    fn thread_mismatch_refusal_logic() {
+        let (one, mut eight) = (rec(vec![]), rec(vec![]));
+        eight.threads = 8;
+        assert!(compare(&eight, &one).unwrap_err().contains("width 8"));
+        assert!(compare(&one, &eight).is_err());
+    }
+
+    /// One test per carried gate, each running that gate's slice of
+    /// [`cases`].
+    macro_rules! gate_tests {
+        ($($name:ident: $tag:literal,)*) => {$(
+            #[test]
+            fn $name() {
+                run($tag);
+            }
+        )*};
+    }
+
+    gate_tests! {
+        flags_regressions_over_threshold_only: "rel",
+        single_sample_pairs_get_doubled_threshold: "single",
+        noise_floor_suppresses_micro_timings: "subfloor",
+        recover_gate_bounds_events_and_forbids_full_repairs: "recover",
+        recover_gate_floors_epoch_quantization_and_tracks_row_churn: "recover_floor",
+        burst_gate_bounds_p999_and_forbids_shed_leaves: "burst",
+        burst_gate_floors_jitter_and_tracks_row_churn: "burst_floor",
+        serve_mc_gate_bounds_throughput_loss: "serve_mc",
+        serve_mc_gate_holds_every_curve_width: "curve",
+        alloc_gate_is_absolute_on_allocs_and_relative_on_bytes: "alloc",
+    }
+
+    #[test]
+    fn missing_pairs_fail_the_gate() {
+        run("missing");
+        let diff = compare(&rec(vec![]), &rec(vec![Metric::new("a", 1.0)])).unwrap();
+        assert_eq!(diff.rows[0].verdict, Verdict::Missing);
+    }
+
+    /// Dropping a measurement hides a regression; adding one cannot.
+    #[test]
+    fn new_pairs_are_reported_as_additions_not_failures() {
+        run("new");
+        let diff = compare(&rec(vec![Metric::new("a", 1.0)]), &rec(vec![])).unwrap();
+        assert_eq!(diff.rows[0].verdict, Verdict::New);
     }
 
     #[test]
@@ -948,569 +779,148 @@ mod tests {
     }
 
     #[test]
-    fn single_sample_pairs_get_doubled_threshold() {
-        let mut base = entry("tier1", "lp_solve", 100.0);
-        base.samples = 1;
-        // +40% on a single-sample pair: inside the doubled (+50%) limit.
-        let mut fresh = entry("tier1", "lp_solve", 140.0);
-        fresh.samples = 1;
-        let report = compare(&[fresh.clone()], &[base.clone()], 0.25, 0.05);
-        assert!(report.passed());
-        // +60% fails even with the slack.
-        fresh.exec_ms = 160.0;
-        assert!(!compare(&[fresh], &[base], 0.25, 0.05).passed());
-    }
-
-    #[test]
     fn rejects_malformed_documents() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse("\"open").is_err());
-    }
-
-    #[test]
-    fn thread_mismatch_refusal_logic() {
-        let one = parse(r#"{"threads": 1, "rows": []}"#).unwrap();
-        let eight = parse(r#"{"threads": 8, "rows": []}"#).unwrap();
-        let unmarked = parse(r#"{"rows": []}"#).unwrap();
-        assert_eq!(doc_threads(&one), Some(1));
-        assert_eq!(doc_threads(&unmarked), None);
-        // Mismatched widths are refused in both directions.
-        assert_eq!(thread_mismatch(&eight, &one), Some((8, 1)));
-        assert_eq!(thread_mismatch(&one, &eight), Some((1, 8)));
-        // Same width, or a legacy unmarked side, still compares.
-        assert_eq!(thread_mismatch(&one, &one), None);
-        assert_eq!(thread_mismatch(&one, &unmarked), None);
-        assert_eq!(thread_mismatch(&unmarked, &eight), None);
-    }
-
-    #[test]
-    fn parses_the_committed_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_table1.json");
-        let text = std::fs::read_to_string(path).expect("committed baseline exists");
-        let doc = parse(&text).expect("committed baseline parses");
-        let list = entries(&doc).expect("committed baseline has the expected shape");
-        assert!(list.len() >= 16, "4 tiers x 4 heuristics at least");
-        assert!(list
-            .iter()
-            .any(|e| e.algorithm == "GreZ-GreC" && e.config == "30s-160z-2000c-1000cp"));
-        for e in &list {
-            assert!(e.exec_ms >= 0.0);
-            assert!((0.0..=1.0).contains(&e.pqos));
+        for bad in ["", "{", "[1,]", "{\"a\" 1}", "12 34", "\"open"] {
+            assert!(parse(bad).is_err(), "{bad}");
         }
-        // Identical files never regress against themselves.
-        let report = compare(&list, &list, 0.25, 0.05);
-        assert!(report.passed());
-        assert!(report.compared > 0);
+        assert!(Record::from_json(&parse(r#"{"metrics": []}"#).unwrap()).is_err());
     }
 
-    #[test]
-    fn flags_regressions_over_threshold_only() {
-        let baseline = vec![entry("tier1", "A", 10.0), entry("tier1", "B", 10.0)];
-        let fresh = vec![entry("tier1", "A", 12.4), entry("tier1", "B", 12.6)];
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
-        assert_eq!(report.compared, 2);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "B");
-        assert!((report.regressions[0].ratio() - 1.26).abs() < 1e-9);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn noise_floor_suppresses_micro_timings() {
-        let baseline = vec![entry("tier1", "A", 0.003)];
-        let fresh = vec![entry("tier1", "A", 0.010)]; // 3.3x but microseconds
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
-        assert_eq!(report.below_floor, 1);
-        assert!(report.passed());
-    }
-
-    #[test]
-    fn missing_pairs_fail_the_gate() {
-        let baseline = vec![entry("tier1", "A", 10.0)];
-        let report = compare(&[], &baseline, 0.25, 0.05);
-        assert_eq!(report.missing, vec!["tier1 / A".to_string()]);
-        assert!(!report.passed());
-    }
-
-    fn recover_entry(scenario: &str, events: f64, full_repairs: f64) -> RecoverEntry {
-        RecoverEntry {
-            scenario: scenario.to_string(),
-            events_to_recover: events,
-            full_repairs,
-            shed_events: 0.0,
-            trough_pqos: 0.8,
-        }
+    /// Each metric's gate in words, from a `bench` record holding
+    /// `metrics`.
+    fn gates(bench: &str, metrics: &str) -> Result<Vec<String>, String> {
+        let head = format!(r#""bench": "{bench}", "threads": 1, "peak_rss_bytes": 0"#);
+        let record = Record::from_json(&parse(&format!("{{{head}, \"metrics\": [{metrics}]}}"))?)?;
+        assert_eq!(record.bench, bench);
+        Ok(record.metrics.iter().map(Metric::gate_text).collect())
     }
 
     #[test]
     fn recover_documents_are_recognised_and_parsed() {
-        let doc = parse(
-            r#"{"experiment": "recover", "threads": 1, "scenarios": [
-                {"scenario": "single", "pre_pqos": 0.95, "trough_pqos": 0.8,
-                 "recovered_epoch": 4, "events_to_recover": 600, "full_repairs": 0,
-                 "shed_events": 0, "queued_joins": 0, "zones_migrated": 42}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(is_recover_doc(&doc));
-        let list = recover_entries(&doc).unwrap();
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].scenario, "single");
-        assert_eq!(list[0].events_to_recover, 600.0);
-        assert_eq!(list[0].full_repairs, 0.0);
-        // A Table 1 baseline is not a recovery record.
-        let table1 = parse(r#"{"rows": []}"#).unwrap();
-        assert!(!is_recover_doc(&table1));
-        assert!(recover_entries(&table1).is_err());
-    }
-
-    #[test]
-    fn recover_gate_bounds_events_and_forbids_full_repairs() {
-        let baseline = vec![
-            recover_entry("single", 1200.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        // Within threshold: passes.
-        let fresh = vec![
-            recover_entry("single", 1400.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let report = compare_recover(&fresh, &baseline, 0.25, 600.0);
-        assert!(report.passed());
-        assert_eq!(report.compared, 2);
-        // Recovery slowed past the threshold: fails.
-        let slow = vec![
-            recover_entry("single", 1600.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let report = compare_recover(&slow, &baseline, 0.25, 600.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "events_to_recover");
-        assert!(!report.passed());
-        // A full repair on the failure path fails even when events shrink —
-        // and even when the (broken) baseline had one too.
-        let escalated = vec![
-            recover_entry("single", 600.0, 1.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let mut broken_baseline = baseline.clone();
-        broken_baseline[0].full_repairs = 2.0;
-        let report = compare_recover(&escalated, &broken_baseline, 0.25, 600.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "full_repairs");
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn recover_gate_floors_epoch_quantization_and_tracks_row_churn() {
-        // Both sides within one epoch: quantization, not a regression.
-        let baseline = vec![recover_entry("single", 600.0, 0.0)];
-        let fresh = vec![recover_entry("single", 600.0, 0.0)];
-        let report = compare_recover(&fresh, &baseline, 0.25, 600.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 0);
-        // New scenarios are additions; vanished scenarios fail.
-        let moved = vec![recover_entry("fail_recover", 600.0, 0.0)];
-        let report = compare_recover(&moved, &baseline, 0.25, 600.0);
-        assert_eq!(report.added, vec!["fail_recover".to_string()]);
-        assert_eq!(report.missing, vec!["single".to_string()]);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn parses_the_committed_recovery_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recover.json");
-        let text = std::fs::read_to_string(path).expect("committed recovery baseline exists");
-        let doc = parse(&text).expect("committed recovery baseline parses");
-        assert!(is_recover_doc(&doc));
-        let list = recover_entries(&doc).expect("committed recovery baseline has the shape");
-        assert!(list.len() >= 3, "single + correlated + fail_recover");
-        for e in &list {
-            assert_eq!(e.full_repairs, 0.0, "{}: gated at zero", e.scenario);
-            assert!(e.events_to_recover >= 0.0);
-            assert!((0.0..=1.0).contains(&e.trough_pqos));
-        }
-        // Identical files never regress against themselves.
-        let report = compare_recover(&list, &list, 0.25, 600.0);
-        assert!(report.passed());
-    }
-
-    fn burst_entry(scenario: &str, p999_ms: f64, shed_leaves: f64) -> BurstEntry {
-        BurstEntry {
-            scenario: scenario.to_string(),
-            p999_ms,
-            shed_events: 0.0,
-            shed_leaves,
-            events: 16000.0,
-        }
+        let m = r#"{"name": "e", "value": 600, "better": "lower", "rel": 0.25, "floor": 600},
+                   {"name": "full_repairs", "value": 0, "abs_max": 0}, {"name": "t", "value": 1}"#;
+        assert_eq!(
+            gates("recover", m).unwrap(),
+            ["lower +25% floor 600", "max 0", ""]
+        );
     }
 
     #[test]
     fn burst_documents_are_recognised_and_parsed() {
-        let doc = parse(
-            r#"{"experiment": "burst", "threads": 1, "scenarios": [
-                {"scenario": "flash_crowd", "events": 16000, "committed": 16000,
-                 "flushes": 125, "coalesced": 0, "shed_events": 0, "shed_leaves": 0,
-                 "mean_ms": 1.6, "p99_ms": 3.1, "p999_ms": 4.5}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
-        let list = burst_entries(&doc).unwrap();
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].scenario, "flash_crowd");
-        assert_eq!(list[0].p999_ms, 4.5);
-        assert_eq!(list[0].shed_leaves, 0.0);
-        assert_eq!(list[0].events, 16000.0);
-        // Neither a Table 1 nor a recovery record is a burst record.
-        let table1 = parse(r#"{"rows": []}"#).unwrap();
-        assert!(!is_burst_doc(&table1));
-        assert!(burst_entries(&table1).is_err());
-        // A scenario row missing the gated statistic refuses to parse.
-        let truncated = parse(
-            r#"{"experiment": "burst", "scenarios": [
-                {"scenario": "flash_crowd", "events": 16000,
-                 "shed_events": 0, "shed_leaves": 0}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(burst_entries(&truncated).is_err());
-    }
-
-    #[test]
-    fn burst_gate_bounds_p999_and_forbids_shed_leaves() {
-        let baseline = vec![
-            burst_entry("flash_crowd", 4.5, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        // Within threshold: passes.
-        let fresh = vec![
-            burst_entry("flash_crowd", 5.0, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let report = compare_burst(&fresh, &baseline, 0.25, 2.0);
-        assert!(report.passed());
-        assert_eq!(report.compared, 2);
-        // Tail latency past the threshold: fails.
-        let slow = vec![
-            burst_entry("flash_crowd", 6.0, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let report = compare_burst(&slow, &baseline, 0.25, 2.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "p999_ms");
-        assert!(!report.passed());
-        // A shed Leave fails even with a faster tail — and even when the
-        // (broken) baseline shed one too.
-        let shedding = vec![
-            burst_entry("flash_crowd", 3.0, 1.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let mut broken_baseline = baseline.clone();
-        broken_baseline[0].shed_leaves = 2.0;
-        let report = compare_burst(&shedding, &broken_baseline, 0.25, 2.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "shed_leaves");
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn burst_gate_floors_jitter_and_tracks_row_churn() {
-        // Both tails under the floor: runner jitter, not a regression.
-        let baseline = vec![burst_entry("exponential", 1.0, 0.0)];
-        let fresh = vec![burst_entry("exponential", 1.9, 0.0)];
-        let report = compare_burst(&fresh, &baseline, 0.25, 2.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 0);
-        // New scenarios are additions; vanished scenarios fail.
-        let moved = vec![burst_entry("diurnal", 1.0, 0.0)];
-        let report = compare_burst(&moved, &baseline, 0.25, 2.0);
-        assert_eq!(report.added, vec!["diurnal".to_string()]);
-        assert_eq!(report.missing, vec!["exponential".to_string()]);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn parses_the_committed_burst_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_burst.json");
-        let text = std::fs::read_to_string(path).expect("committed burst baseline exists");
-        let doc = parse(&text).expect("committed burst baseline parses");
-        assert!(is_burst_doc(&doc));
-        assert_eq!(doc_threads(&doc), Some(1), "baselines are single-core");
-        let list = burst_entries(&doc).expect("committed burst baseline has the shape");
-        assert!(list.len() >= 2, "flash_crowd + exponential");
-        for e in &list {
-            assert_eq!(e.shed_leaves, 0.0, "{}: gated at zero", e.scenario);
-            assert!(e.p999_ms <= 5.0, "{}: inside the bench budget", e.scenario);
-            assert!(e.events > 0.0);
-        }
-        // Identical files never regress against themselves.
-        let report = compare_burst(&list, &list, 0.25, 2.0);
-        assert!(report.passed());
+        let m = r#"{"name": "p999_ms", "value": 4.5, "better": "lower", "rel": 0.25, "floor": 2}"#;
+        assert_eq!(gates("burst", m).unwrap(), ["lower +25% floor 2"]);
+        assert!(
+            gates("burst", r#"{"name": "p999_ms"}"#).is_err(),
+            "no value"
+        );
     }
 
     #[test]
     fn serve_mc_documents_are_recognised_and_parsed() {
-        let doc = parse(
-            r#"{"experiment": "serve_mc", "threads": 8, "peak_rss_bytes": 1000,
-                "tier": "100s-1000z-50000c-65000cp", "runs": 3, "events": 24000,
-                "batch": 512, "serve_min_ms": 120.0, "serve_min_ms_1shard": 300.0,
-                "events_per_s": 200000.0, "events_per_s_1shard": 80000.0,
-                "speedup_in_process": 2.5,
-                "curve": [{"threads": 1, "events_per_s": 80000.0},
-                          {"threads": 2, "events_per_s": 140000.0},
-                          {"threads": 4, "events_per_s": 200000.0}]}"#,
-        )
-        .unwrap();
-        assert!(is_serve_mc_doc(&doc));
-        assert!(!is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
-        assert_eq!(doc_threads(&doc), Some(8));
-        let entry = serve_mc_entry(&doc).unwrap();
-        assert_eq!(entry.tier, "100s-1000z-50000c-65000cp");
-        assert_eq!(entry.events_per_s, 200000.0);
-        assert_eq!(entry.speedup_in_process, 2.5);
-        assert_eq!(
-            entry.curve,
-            vec![(1, 80000.0), (2, 140000.0), (4, 200000.0)]
-        );
-        // A pre-curve baseline still parses, with an empty curve.
-        let legacy = parse(
-            r#"{"experiment": "serve_mc", "tier": "x", "events_per_s": 1.0,
-                "events_per_s_1shard": 1.0, "speedup_in_process": 1.0}"#,
-        )
-        .unwrap();
-        assert_eq!(serve_mc_entry(&legacy).unwrap().curve, vec![]);
-        // A document missing the gated statistic refuses to parse.
-        let truncated = parse(r#"{"experiment": "serve_mc", "tier": "x"}"#).unwrap();
-        assert!(serve_mc_entry(&truncated).is_err());
-        // A curve point missing its statistic refuses to parse.
-        let bad_point = parse(
-            r#"{"experiment": "serve_mc", "tier": "x", "events_per_s": 1.0,
-                "events_per_s_1shard": 1.0, "speedup_in_process": 1.0,
-                "curve": [{"threads": 2}]}"#,
-        )
-        .unwrap();
-        assert!(serve_mc_entry(&bad_point).is_err());
-    }
-
-    /// The serving-throughput gate is inverted relative to the solve
-    /// gates: lower events/s is the regression.
-    #[test]
-    fn serve_mc_gate_bounds_throughput_loss() {
-        let base = ServeMcEntry {
-            tier: "100s-1000z-50000c-65000cp".to_string(),
-            events_per_s: 100_000.0,
-            events_per_s_1shard: 40_000.0,
-            speedup_in_process: 2.5,
-            curve: vec![],
-        };
-        // Within threshold: 25% slower at the 25% threshold passes.
-        let ok = ServeMcEntry {
-            events_per_s: 80_001.0,
-            ..base.clone()
-        };
-        assert!(compare_serve_mc(&ok, &base, 0.25).passed());
-        // Past it: fails with the throughput numbers attached.
-        let slow = ServeMcEntry {
-            events_per_s: 70_000.0,
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&slow, &base, 0.25);
-        assert!(!report.passed());
-        assert_eq!(report.regressions[0].algorithm, "events_per_s");
-        // A tier change is incomparable, reported as missing.
-        let moved = ServeMcEntry {
-            tier: "10s-100z-5000c".to_string(),
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&moved, &base, 0.25);
-        assert_eq!(report.missing, vec![base.tier.clone()]);
-        // Identical records never regress against themselves.
-        assert!(compare_serve_mc(&base, &base, 0.25).passed());
-    }
-
-    /// Each width of a committed speedup curve is gated on its own: a
-    /// lost width fails, a slowed width fails even when the headline
-    /// clears, and a fresh extra width is an addition.
-    #[test]
-    fn serve_mc_gate_holds_every_curve_width() {
-        let base = ServeMcEntry {
-            tier: "100s-1000z-50000c-65000cp".to_string(),
-            events_per_s: 200_000.0,
-            events_per_s_1shard: 80_000.0,
-            speedup_in_process: 2.5,
-            curve: vec![(1, 80_000.0), (2, 140_000.0), (4, 200_000.0)],
-        };
-        // Identical curves never regress, and every point is compared.
-        let report = compare_serve_mc(&base, &base, 0.25);
-        assert!(report.passed());
-        assert_eq!(report.compared, 1 + 3);
-        // One mid-curve width loses its scaling while the headline
-        // holds: still a regression, pinned to that width.
-        let sagging = ServeMcEntry {
-            curve: vec![(1, 80_000.0), (2, 90_000.0), (4, 200_000.0)],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&sagging, &base, 0.25);
-        assert!(!report.passed());
-        assert_eq!(report.regressions.len(), 1);
-        assert!(report.regressions[0].config.contains("@ 2 workers"));
-        // A vanished width fails; a new wider point is an addition.
-        let reshaped = ServeMcEntry {
-            curve: vec![(1, 80_000.0), (4, 200_000.0), (8, 320_000.0)],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&reshaped, &base, 0.25);
-        assert!(!report.passed());
-        assert_eq!(report.missing.len(), 1);
-        assert!(report.missing[0].contains("@ 2 workers"));
-        assert_eq!(report.added.len(), 1);
-        assert!(report.added[0].contains("@ 8 workers"));
-        // A legacy baseline with no curve gates only the headline, so a
-        // fresh record that *gains* a curve passes with additions.
-        let legacy = ServeMcEntry {
-            curve: vec![],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&base, &legacy, 0.25);
-        assert!(report.passed());
-        assert_eq!(report.added.len(), 3);
-    }
-
-    #[test]
-    fn parses_the_committed_serve_mc_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve_mc.json");
-        let text = std::fs::read_to_string(path).expect("committed serve_mc baseline exists");
-        let doc = parse(&text).expect("committed serve_mc baseline parses");
-        assert!(is_serve_mc_doc(&doc));
-        assert!(doc_threads(&doc).is_some(), "baseline is width-keyed");
-        let entry = serve_mc_entry(&doc).expect("committed serve_mc baseline has the shape");
-        assert!(entry.events_per_s > 0.0);
-        assert!(entry.events_per_s_1shard > 0.0);
-        let report = compare_serve_mc(&entry, &entry, 0.25);
-        assert!(report.passed());
-    }
-
-    /// New (tier, algorithm) pairs appearing only in the fresh JSON are
-    /// additions: reported as such, never failed — while vanished pairs
-    /// keep failing. The asymmetry is the point: dropping a measurement
-    /// hides a regression, adding one cannot.
-    #[test]
-    fn new_pairs_are_reported_as_additions_not_failures() {
-        let baseline = vec![entry("tier1", "A", 10.0)];
-        let fresh = vec![
-            entry("tier1", "A", 10.0),
-            entry("tier9", "Z", 1.0),
-            entry("tier1", "B", 2.0),
-        ];
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
-        assert!(report.passed());
-        assert_eq!(
-            report.added,
-            vec!["tier9 / Z".to_string(), "tier1 / B".to_string()]
-        );
-        assert_eq!(report.compared, 1);
-        // Both directions at once: additions reported, the vanished pair
-        // still fails.
-        let moved = vec![entry("tier2", "A", 10.0)];
-        let report = compare(&moved, &baseline, 0.25, 0.05);
-        assert!(!report.passed());
-        assert_eq!(report.added, vec!["tier2 / A".to_string()]);
-        assert_eq!(report.missing, vec!["tier1 / A".to_string()]);
-    }
-
-    fn alloc_doc(tier: &str, allocs_per_event: f64, bytes_per_event: f64) -> AllocEntry {
-        AllocEntry {
-            tier: tier.to_string(),
-            allocs_per_event,
-            bytes_per_event,
-            steady_events: 3000.0,
-        }
+        let m = r#"{"name": "events_per_s@2", "value": 1, "better": "higher", "rel": 0.25}"#;
+        assert_eq!(gates("serve_mc", m).unwrap(), ["higher -25%"]);
+        assert!(gates("serve_mc", r#"{"name": "x", "value": 1, "better": "up"}"#).is_err());
     }
 
     #[test]
     fn alloc_documents_are_recognised_and_parsed() {
-        let doc = parse(
-            r#"{"experiment": "alloc", "threads": 1, "peak_rss_bytes": 1000,
-                "tier": "100s-1000z-50000c-65000cp", "epochs": 5,
-                "steady_events": 3000, "steady_allocs": 722, "steady_bytes": 72318,
-                "allocs_per_event": 0.2407, "bytes_per_event": 24.1,
-                "steady_mean_ns": 100253, "steady_p99_ns": 720895, "pqos": 0.942849}"#,
-        )
-        .unwrap();
-        assert!(is_alloc_doc(&doc));
-        assert!(!is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
-        assert!(!is_serve_mc_doc(&doc));
-        let entry = alloc_entry(&doc).unwrap();
-        assert_eq!(entry.tier, "100s-1000z-50000c-65000cp");
-        assert_eq!(entry.allocs_per_event, 0.2407);
-        assert_eq!(entry.bytes_per_event, 24.1);
-        assert_eq!(entry.steady_events, 3000.0);
-        // A document missing the gated statistic refuses to parse.
-        let truncated = parse(r#"{"experiment": "alloc", "tier": "x"}"#).unwrap();
-        assert!(alloc_entry(&truncated).is_err());
+        let m = r#"{"name": "allocs_per_event", "value": 0.2407, "abs_max": 2}"#;
+        assert_eq!(gates("alloc", m).unwrap(), ["max 2"]);
+        assert!(
+            gates("alloc", r#"{"name": "x", "value": "1"}"#).is_err(),
+            "not a number"
+        );
+    }
+
+    /// Loads a committed record, checks that it is exactly what the
+    /// writer would write and that it passes against itself, and
+    /// returns it.
+    fn committed(name: &str) -> Record {
+        let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let record = Record::load(&path).unwrap();
+        assert_eq!((record.bench.as_str(), record.threads), (name, 1));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(record.to_json(), text, "{name}: writer round trip");
+        assert!(compare(&record, &record).unwrap().passed(), "{name}");
+        record
+    }
+
+    /// The metrics of `r` whose names end in `suffix`.
+    fn named<'a>(r: &'a Record, suffix: &'a str) -> impl Iterator<Item = &'a Metric> + 'a {
+        r.metrics.iter().filter(move |m| m.name.ends_with(suffix))
     }
 
     #[test]
-    fn alloc_gate_is_absolute_on_allocs_and_relative_on_bytes() {
-        let baseline = alloc_doc("tier", 0.25, 24.0);
-        // Under budget and within the bytes threshold: passes, even when
-        // allocs drifted *up* relative to the baseline.
-        let fresh = alloc_doc("tier", 1.5, 26.0);
-        let report = compare_alloc(&fresh, &baseline, 0.25, 2.0, 8.0);
-        assert!(report.passed());
-        assert_eq!(report.compared, 2);
-        // Over the absolute budget: fails no matter what the baseline
-        // says — even a crept-up baseline cannot launder it.
-        let hungry = alloc_doc("tier", 2.5, 24.0);
-        let crept = alloc_doc("tier", 3.0, 24.0);
-        let report = compare_alloc(&hungry, &crept, 0.25, 2.0, 8.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "allocs_per_event");
-        assert!(!report.passed());
-        // Bytes past the relative threshold: fails.
-        let leaky = alloc_doc("tier", 0.25, 40.0);
-        let report = compare_alloc(&leaky, &baseline, 0.25, 2.0, 8.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "bytes_per_event");
-        // Both byte rates under the floor: bookkeeping noise, skipped.
-        let quiet_base = alloc_doc("tier", 0.0, 2.0);
-        let quiet_fresh = alloc_doc("tier", 0.0, 7.0);
-        let report = compare_alloc(&quiet_fresh, &quiet_base, 0.25, 2.0, 8.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 1);
-        // A tier change is incomparable, not a silent pass.
-        let moved = alloc_doc("other", 0.25, 24.0);
-        let report = compare_alloc(&moved, &baseline, 0.25, 2.0, 8.0);
-        assert!(!report.passed());
-        assert_eq!(report.missing, vec!["tier".to_string()]);
+    fn every_committed_record_passes_against_itself() {
+        for name in ["churn", "mc", "million", "scale", "stream"] {
+            committed(name);
+        }
+    }
+
+    #[test]
+    fn parses_the_committed_baseline() {
+        let r = committed("table1");
+        assert!(
+            named(&r, "/exec_ms").count() >= 17,
+            "4 tiers x 4 heuristics + GreZ-LS-GreC"
+        );
+        assert!(r
+            .value("100s-1000z-50000c-65000cp/GreZ-LS-GreC/exec_ms")
+            .is_some());
+        for m in named(&r, "/exec_ms") {
+            let single = m.name.contains("lp_solve");
+            match m.rel {
+                None => assert!(m.value < 0.05, "{}: ungated above the floor", m.name),
+                Some(rel) => assert_eq!(rel, if single { 0.5 } else { 0.25 }, "{}", m.name),
+            }
+        }
+    }
+
+    #[test]
+    fn parses_the_committed_recovery_baseline() {
+        let r = committed("recover");
+        assert_eq!(
+            named(&r, "/full_repairs")
+                .filter(|m| m.abs_max == Some(0.0))
+                .count(),
+            3
+        );
+        for m in named(&r, "/events_to_recover") {
+            assert_eq!((m.rel, m.floor), (Some(0.25), Some(600.0)), "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn parses_the_committed_burst_baseline() {
+        let r = committed("burst");
+        assert_eq!(
+            named(&r, "/shed_leaves")
+                .filter(|m| m.abs_max == Some(0.0))
+                .count(),
+            2
+        );
+        for m in named(&r, "/p999_ms") {
+            assert_eq!((m.rel, m.floor), (Some(0.25), Some(2.0)), "{}", m.name);
+            assert!(m.value <= 5.0, "{}: inside the bench budget", m.name);
+        }
+    }
+
+    #[test]
+    fn parses_the_committed_serve_mc_baseline() {
+        let r = committed("serve_mc");
+        for name in ["events_per_s", "events_per_s@1"] {
+            let m = r.metric(name).unwrap();
+            assert_eq!((m.better, m.rel), (Better::Higher, Some(0.25)), "{name}");
+        }
     }
 
     #[test]
     fn parses_the_committed_alloc_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alloc.json");
-        let text = std::fs::read_to_string(path).expect("committed alloc baseline exists");
-        let doc = parse(&text).expect("committed alloc baseline parses");
-        assert!(is_alloc_doc(&doc));
-        assert_eq!(doc_threads(&doc), Some(1), "baselines are single-core");
-        let entry = alloc_entry(&doc).expect("committed alloc baseline has the shape");
-        assert!(
-            entry.allocs_per_event <= 2.0,
-            "committed baseline must itself clear the landing budget"
-        );
-        assert!(entry.steady_events > 0.0);
-        // Identical files never regress against themselves.
-        let report = compare_alloc(&entry, &entry, 0.25, 2.0, 8.0);
-        assert!(report.passed());
+        let r = committed("alloc");
+        let allocs = r.metric("allocs_per_event").unwrap();
+        assert_eq!(allocs.abs_max, Some(2.0));
+        assert!(allocs.value <= 2.0, "the baseline itself clears the budget");
+        let bytes = r.metric("bytes_per_event").unwrap();
+        assert_eq!((bytes.rel, bytes.floor), (Some(0.25), Some(8.0)));
     }
 }

@@ -19,12 +19,15 @@
 
 pub mod diff;
 
+use diff::{Metric, Record};
 use dve_assign::CapInstance;
+use dve_sim::experiments::table1::Table1;
 use dve_sim::experiments::ExpOptions;
 use dve_sim::{build_replication, SimSetup, TopologySpec};
 use dve_topology::HierarchicalConfig;
 use dve_world::ScenarioConfig;
 use rand::rngs::StdRng;
+use std::path::{Path, PathBuf};
 
 /// Builds a CAP instance for a scenario notation on the paper's default
 /// 500-node hierarchical topology, deterministically from `seed`.
@@ -58,27 +61,71 @@ pub fn small_instance_for(notation: &str, seed: u64) -> (CapInstance, StdRng) {
     (rep.instance, rep.rng)
 }
 
-/// Writes a flat machine-readable bench record to
-/// `BENCH_<name>.json` at the workspace root (next to
-/// `BENCH_table1.json`), stamping the worker width and peak RSS so
-/// future baselines are compared like for like (`bench_diff` refuses
-/// mismatched `threads`). `fields` are appended verbatim as JSON
-/// members — pass numbers pre-formatted. Returns the path written.
-pub fn write_bench_record(name: &str, fields: &[(&str, String)]) -> String {
-    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"experiment\": \"{name}\",\n"));
-    json.push_str(&format!("  \"threads\": {},\n", dve_par::default_threads()));
-    json.push_str(&format!(
-        "  \"peak_rss_bytes\": {}",
-        dve_sim::peak_rss_bytes().unwrap_or(0)
-    ));
-    for (key, value) in fields {
-        json.push_str(&format!(",\n  \"{key}\": {value}"));
-    }
-    json.push_str("\n}\n");
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+/// The workspace root: committed `BENCH_<name>.json` baselines live
+/// here, fresh records under `target/bench-records/`.
+fn workspace_root() -> &'static Path {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels down")
+}
+
+/// Writes `record` to `target/bench-records/BENCH_<bench>.json`, never
+/// into the source tree, stamping the worker width and peak RSS so
+/// baselines are compared like for like (`bench_diff` refuses
+/// mismatched `threads`). Returns the path written. Promoting a fresh
+/// record to the committed baseline is a plain copy onto
+/// `BENCH_<bench>.json` at the workspace root.
+pub fn write_bench_record(mut record: Record) -> PathBuf {
+    record.threads = dve_par::default_threads() as u64;
+    record.peak_rss_bytes = dve_sim::peak_rss_bytes().unwrap_or(0);
+    let dir = workspace_root().join("target/bench-records");
+    let path = dir.join(format!("BENCH_{}.json", record.bench));
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, record.to_json()))
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
     path
+}
+
+/// The committed baseline `BENCH_<name>.json` at the workspace root.
+pub fn committed_record(name: &str) -> Result<Record, String> {
+    Record::load(workspace_root().join(format!("BENCH_{name}.json")))
+}
+
+/// The Table 1 record: per (configuration, algorithm) pair, the
+/// **minimum** solve time over the replications (`exec_ms`, gated: noise
+/// on a shared runner is additive, so minima are stable where means
+/// flap), plus the mean solve time, mean pQoS and mean utilisation
+/// (reported). A pair whose minimum sits under 0.05 ms gets no gate
+/// (microsecond timings are scheduler noise); a single-sample pair gets
+/// double the slack (`rel` 0.5), since one sample has no minimum-of-N
+/// protection.
+pub fn table1_record(table: &Table1, options: &ExpOptions) -> Record {
+    let mut record = Record::new("table1");
+    record.report("runs", options.runs as f64);
+    record.report("exact_runs", options.exact_runs as f64);
+    record.report("base_seed", options.base_seed as f64);
+    for row in table.rows.iter().chain(&table.extended) {
+        for stats in row.heuristics.iter().chain(&row.exact) {
+            if stats.exec_ms.n == 0 {
+                continue;
+            }
+            let pair = format!("{}/{}", row.config, stats.algorithm);
+            let exec = Metric::new(format!("{pair}/exec_ms"), stats.exec_ms.min);
+            record.metrics.push(if stats.exec_ms.min < 0.05 {
+                exec
+            } else if stats.exec_ms.n < 2 {
+                exec.lower(0.5)
+            } else {
+                exec.lower(0.25)
+            });
+            record.report(format!("{pair}/exec_mean_ms"), stats.exec_ms.mean);
+            record.report(format!("{pair}/pqos"), stats.pqos.mean);
+            record.report(format!("{pair}/utilization"), stats.utilization.mean);
+        }
+    }
+    record
 }
 
 /// Parses the shared experiment flags out of `args`, returning the

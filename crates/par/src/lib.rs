@@ -14,18 +14,16 @@
 //!   merged in worker-index order (bit-identical at any width for exact
 //!   accumulations — the seam every sharded compute layer rides).
 //! * [`par_for_each_mut`] — in-place parallel mutation of disjoint elements.
-//! * [`ThreadPool`] — a small persistent pool for `'static` jobs, used by
-//!   long-running sweeps that want to amortise thread spawning.
 //! * [`WorkerTeam`] — a persistent **thread-affine** team: job `i` of a
 //!   scatter always runs on worker `i`, results return in worker-index
 //!   order. This is the substrate of the zone-sharded serving engine.
 //!
 //! The free functions use dynamic work stealing via a shared atomic index
 //! (fine-grained enough for the heterogeneous run times of simulation
-//! replications) and `crossbeam::scope` so borrowed inputs need no `Arc`.
+//! replications) and `std::thread::scope` so borrowed inputs need no `Arc`.
 //! Scoped spawns are per-call — fine for coarse batches, wrong for
-//! µs-scale micro-batches, which is what the persistent pool and team
-//! exist for. Every thread this crate ever creates is counted by
+//! µs-scale micro-batches, which is what the persistent team exists
+//! for. Every thread this crate ever creates is counted by
 //! [`threads_spawned`], so callers can assert their hot path spawns
 //! nothing.
 //!
@@ -50,10 +48,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
 mod team;
 
-pub use pool::ThreadPool;
 pub use team::WorkerTeam;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -67,8 +63,7 @@ pub(crate) fn note_spawn() {
 }
 
 /// Total OS threads this crate has spawned since process start — scoped
-/// workers of the free functions, [`ThreadPool`] workers, and
-/// [`WorkerTeam`] workers alike.
+/// workers of the free functions and [`WorkerTeam`] workers alike.
 ///
 /// This is the observable behind the "no per-flush spawns" contract:
 /// tests snapshot it, drive a hot path, and assert the delta is zero.
@@ -130,11 +125,11 @@ where
     let next = AtomicUsize::new(0);
     let f = &f;
     let next = &next;
-    let buckets: Vec<Vec<(usize, R)>> = crossbeam::scope(|scope| {
+    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 note_spawn();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -151,8 +146,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("dve-par worker panicked"))
             .collect()
-    })
-    .expect("dve-par scope panicked");
+    });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for bucket in buckets {
@@ -224,11 +218,11 @@ where
     let per = n.div_ceil(threads);
     let init = &init;
     let fold = &fold;
-    let accs: Vec<A> = crossbeam::scope(|scope| {
+    let accs: Vec<A> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 note_spawn();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let lo = w * per;
                     let hi = ((w + 1) * per).min(n);
                     let mut acc = init();
@@ -243,8 +237,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("dve-par worker panicked"))
             .collect()
-    })
-    .expect("dve-par scope panicked");
+    });
 
     let mut accs = accs.into_iter();
     let first = accs.next().expect("at least one worker");
@@ -283,7 +276,7 @@ where
     // striding over chunks_mut.
     let n = items.len();
     let f = &f;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut rest = &mut items[..];
         let mut start = 0usize;
         let per = n.div_ceil(threads);
@@ -297,14 +290,13 @@ where
             start += take;
             rest = tail;
             note_spawn();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (off, t) in head.iter_mut().enumerate() {
                     f(base + off, t);
                 }
             });
         }
-    })
-    .expect("dve-par scope panicked");
+    });
 }
 
 /// Runs the provided closures in parallel and returns both results
@@ -316,14 +308,13 @@ where
     RA: Send,
     RB: Send,
 {
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         note_spawn();
-        let hb = scope.spawn(|_| b());
+        let hb = scope.spawn(b);
         let ra = a();
         let rb = hb.join().expect("dve-par join arm panicked");
         (ra, rb)
     })
-    .expect("dve-par scope panicked")
 }
 
 #[cfg(test)]

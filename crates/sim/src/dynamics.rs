@@ -13,10 +13,9 @@
 use crate::setup::{build_replication, SimSetup};
 use dve_assign::{evaluate, solve, Assignment, CapAlgorithm, CapInstance, StuckPolicy};
 use dve_world::{apply_dynamics, DynamicsBatch, ErrorModel};
-use serde::{Deserialize, Serialize};
 
 /// pQoS triple for one algorithm (one replication or averaged).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsRecord {
     /// pQoS of the fresh assignment on the initial population.
     pub before: f64,

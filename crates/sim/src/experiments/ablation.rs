@@ -18,10 +18,9 @@ use dve_assign::{
     anneal_iap, evaluate, grec, grez, iap_total_cost, improve_iap, lp_round_iap, AnnealConfig,
     Assignment, CapInstance, StuckPolicy,
 };
-use serde::{Deserialize, Serialize};
 
 /// Aggregated result for one IAP variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariantStats {
     /// Variant name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct VariantStats {
 }
 
 /// Full ablation result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ablation {
     /// One entry per variant.
     pub variants: Vec<VariantStats>,

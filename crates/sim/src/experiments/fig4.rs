@@ -10,10 +10,9 @@ use crate::runner::run_experiment;
 use crate::setup::SimSetup;
 use dve_assign::{cdf_at, fig4_grid, CapAlgorithm, StuckPolicy};
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// One CDF series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CdfSeries {
     /// Algorithm display name.
     pub algorithm: String,
@@ -22,7 +21,7 @@ pub struct CdfSeries {
 }
 
 /// Full Figure 4 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4 {
     /// Delay grid in ms (250..=500 step 25).
     pub grid: Vec<f64>,

@@ -7,10 +7,9 @@ use crate::runner::run_experiment;
 use crate::setup::SimSetup;
 use dve_assign::{CapAlgorithm, StuckPolicy};
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// One algorithm's series over the correlation sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorrelationSeries {
     /// Algorithm display name.
     pub algorithm: String,
@@ -21,7 +20,7 @@ pub struct CorrelationSeries {
 }
 
 /// Full Figure 5 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// The correlation values swept.
     pub deltas: Vec<f64>,

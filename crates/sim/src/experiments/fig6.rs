@@ -7,10 +7,9 @@ use crate::runner::run_experiment;
 use crate::setup::SimSetup;
 use dve_assign::{CapAlgorithm, StuckPolicy};
 use dve_world::{DistributionType, ScenarioConfig};
-use serde::{Deserialize, Serialize};
 
 /// One algorithm's series over the four distribution types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistributionSeries {
     /// Algorithm display name.
     pub algorithm: String,
@@ -21,7 +20,7 @@ pub struct DistributionSeries {
 }
 
 /// Full Figure 6 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Distribution type indices as plotted by the paper (1..=4).
     pub types: Vec<usize>,

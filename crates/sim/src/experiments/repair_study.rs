@@ -17,11 +17,10 @@ use crate::setup::{build_replication, SimSetup};
 use crate::stats::Summary;
 use dve_assign::{evaluate, grec, grez, solve, Assignment, CapAlgorithm, CapInstance, StuckPolicy};
 use dve_world::{apply_dynamics, DynamicsBatch, ErrorModel};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Aggregated outcome of one strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyStats {
     /// Strategy name.
     pub name: String,
@@ -34,7 +33,7 @@ pub struct StrategyStats {
 }
 
 /// Full repair-study result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairStudy {
     /// Ticks simulated per replication.
     pub ticks: usize,

@@ -13,11 +13,10 @@ use crate::stats::Summary;
 use dve_assign::{evaluate, solve, CapAlgorithm, StuckPolicy};
 use dve_topology::HierarchicalConfig;
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One scale point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Scenario notation.
     pub config: String,
@@ -30,7 +29,7 @@ pub struct ScalePoint {
 }
 
 /// Full scaling-study result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scaling {
     /// One entry per scale.
     pub points: Vec<ScalePoint>,

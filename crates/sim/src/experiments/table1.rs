@@ -12,11 +12,10 @@ use dve_assign::{
     StuckPolicy,
 };
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One Table 1 row: a configuration and per-algorithm statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Configuration notation, e.g. `20s-80z-1000c-500cp`.
     pub config: String,
@@ -27,17 +26,17 @@ pub struct Table1Row {
 }
 
 /// Full Table 1 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// One row per configuration.
     pub rows: Vec<Table1Row>,
     /// Beyond-paper tiers appended with `--large`
     /// ([`ExpOptions::large_scale`]): currently the [`LARGE_TIER`]
     /// production configuration measured through the full engine
-    /// pipeline (GreZ-LS-GreC). Emitted into the same JSON `rows` array
-    /// as the paper rows, so the bench-diff gate covers them — and the
-    /// committed single-thread entry is the baseline the multi-core
-    /// `mc` bench measures its speedup against.
+    /// pipeline (GreZ-LS-GreC). Recorded alongside the paper rows, so
+    /// the bench-diff gate covers them — and the committed
+    /// single-thread entry is the baseline the multi-core `mc` bench
+    /// measures its speedup against.
     pub extended: Vec<Table1Row>,
 }
 
@@ -148,82 +147,7 @@ pub fn run(options: &ExpOptions, exact_configs: usize) -> Table1 {
     Table1 { rows, extended }
 }
 
-fn summary_json(s: &crate::stats::Summary) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_string()
-        }
-    }
-    format!(
-        "{{\"n\":{},\"mean\":{},\"std_dev\":{},\"ci95\":{},\"min\":{},\"max\":{}}}",
-        s.n,
-        num(s.mean),
-        num(s.std_dev),
-        num(s.ci95),
-        num(s.min),
-        num(s.max)
-    )
-}
-
-fn algo_json(stats: &AlgoStats) -> String {
-    format!(
-        "{{\"algorithm\":\"{}\",\"pqos\":{},\"utilization\":{},\"exec_ms\":{},\"feasible_runs\":{},\"runs\":{}}}",
-        stats.algorithm,
-        summary_json(&stats.pqos),
-        summary_json(&stats.utilization),
-        summary_json(&stats.exec_ms),
-        stats.feasible_runs,
-        stats.runs
-    )
-}
-
 impl Table1 {
-    /// Machine-readable per-algorithm summaries (pQoS, utilisation and
-    /// **solve time**) — the perf baseline later changes are compared
-    /// against. Hand-rolled JSON: the workspace's serde is a vendored
-    /// no-op stub (see `vendor/README.md`).
-    pub fn to_json(&self, options: &ExpOptions) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"experiment\": \"table1\",\n");
-        out.push_str(&format!("  \"runs\": {},\n", options.runs));
-        out.push_str(&format!("  \"exact_runs\": {},\n", options.exact_runs));
-        out.push_str(&format!("  \"base_seed\": {},\n", options.base_seed));
-        // Host-comparability metadata: baselines from different worker
-        // widths or memory envelopes are not like-for-like, so record
-        // both alongside the timings (multi-core runs gate against
-        // multi-core baselines, see ROADMAP).
-        out.push_str(&format!("  \"threads\": {},\n", dve_par::default_threads()));
-        out.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::stats::peak_rss_bytes().unwrap_or(0)
-        ));
-        out.push_str("  \"rows\": [\n");
-        // Extended (beyond-paper) tiers land in the same rows array so
-        // the bench-diff gate treats them like any other pair.
-        let rows: Vec<&Table1Row> = self.rows.iter().chain(self.extended.iter()).collect();
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"config\": \"{}\", \"algorithms\": [\n",
-                row.config
-            ));
-            let mut algos: Vec<String> = row
-                .heuristics
-                .iter()
-                .map(|h| format!("      {}", algo_json(h)))
-                .collect();
-            if let Some(e) = &row.exact {
-                algos.push(format!("      {}", algo_json(e)));
-            }
-            out.push_str(&algos.join(",\n"));
-            out.push_str("\n    ]}");
-            out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// Renders the paper-style table, plus an execution-time appendix.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -7,10 +7,9 @@ use crate::experiments::ExpOptions;
 use crate::setup::SimSetup;
 use dve_assign::{CapAlgorithm, StuckPolicy};
 use dve_world::{DynamicsBatch, ScenarioConfig};
-use serde::{Deserialize, Serialize};
 
 /// Full Table 3 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Algorithm display names, row order.
     pub algorithms: Vec<String>,

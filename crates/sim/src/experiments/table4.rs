@@ -8,10 +8,9 @@ use crate::runner::{run_experiment, AlgoStats};
 use crate::setup::SimSetup;
 use dve_assign::{CapAlgorithm, StuckPolicy};
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full Table 4 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// The error factors evaluated (paper: 1.2 and 2.0).
     pub factors: Vec<f64>,

@@ -10,10 +10,9 @@ use crate::setup::{SimSetup, TopologySpec};
 use dve_assign::{CapAlgorithm, StuckPolicy};
 use dve_topology::{HierarchicalConfig, TransitStubConfig, WaxmanParams};
 use dve_world::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// Stats for one topology family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyRow {
     /// Family name.
     pub family: String,
@@ -24,7 +23,7 @@ pub struct TopologyRow {
 }
 
 /// Full topology study result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyStudy {
     /// One row per family.
     pub rows: Vec<TopologyRow>,

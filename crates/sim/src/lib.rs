@@ -107,7 +107,5 @@ pub use serve::{
     ServeStats, StreamEpochRecord, StreamEvent, StreamReport,
 };
 pub use setup::{build_replication, DelayMode, Replication, SimSetup, TopologySpec};
-pub use shard::{
-    run_recovery_stream_sharded, run_stream_sharded, ShardConfig, ShardStats, ShardedServeEngine,
-};
+pub use shard::{run_recovery_stream_sharded, run_stream_sharded, ShardStats, ShardedServeEngine};
 pub use stats::{peak_rss_bytes, Accumulator, LatencyHistogram, Summary};

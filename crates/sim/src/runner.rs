@@ -18,11 +18,10 @@ use dve_assign::{
     evaluate, grec, grez_with, solve, Assignment, CapAlgorithm, CostMatrix, Metrics, StuckPolicy,
 };
 use dve_world::{apply_dynamics, DynamicsBatch, DynamicsOutcome, ErrorModel, World};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Metrics of one algorithm on one replication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunRecord {
     /// Algorithm display name.
     pub algorithm: String,
@@ -43,7 +42,7 @@ pub struct RunRecord {
 }
 
 /// Aggregated statistics of one algorithm across replications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlgoStats {
     /// Algorithm display name.
     pub algorithm: String,
@@ -62,7 +61,7 @@ pub struct AlgoStats {
 }
 
 /// One epoch of the delta-aware churn engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnEpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,

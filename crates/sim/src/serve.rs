@@ -55,6 +55,7 @@
 use crate::repair::repair_targets_with;
 use crate::runner::ChurnEpochRecord;
 use crate::setup::{build_replication, SimSetup};
+use crate::shard::TEAM_ZONE_MIN;
 use crate::stats::LatencyHistogram;
 use dve_assign::{
     evaluate, grec, grez_with, Assignment, CapInstance, CostMatrix, IapError, Metrics, StuckPolicy,
@@ -431,31 +432,6 @@ impl Pending {
     }
 }
 
-/// How a flush re-derives the touched zones' cost-matrix orderings.
-///
-/// Both modes produce bit-identical matrices — the refresh of each zone
-/// reads only that zone's own counts and previous order — so this is a
-/// scheduling choice, not a semantic one.
-#[derive(Clone)]
-pub(crate) enum RefreshMode {
-    /// The historical path: [`CostMatrix::refresh_zones`], which spins
-    /// up scoped workers per call when the touched set is large.
-    Inline,
-    /// Zone-sharded propose on a persistent worker team (owned by the
-    /// [`ShardedServeEngine`](crate::ShardedServeEngine) wrapper), with
-    /// the serial commit done worker-index-first — no per-flush spawns.
-    Team(Arc<WorkerTeam>),
-}
-
-impl std::fmt::Debug for RefreshMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RefreshMode::Inline => write!(f, "Inline"),
-            RefreshMode::Team(team) => write!(f, "Team({} workers)", team.threads()),
-        }
-    }
-}
-
 /// The always-on serving engine. See the module docs for the design.
 #[derive(Debug)]
 pub struct ServeEngine {
@@ -535,8 +511,10 @@ pub struct ServeEngine {
     staleness: usize,
     /// Whether flushes currently record into the warm-up histogram.
     warming_up: bool,
-    /// How flushes refresh touched matrix columns (see [`RefreshMode`]).
-    refresh: RefreshMode,
+    /// The persistent worker team the sharded wrapper installs at boot;
+    /// with it, flushes touching at least `TEAM_ZONE_MIN` zones propose
+    /// concurrently (see [`ServeEngine::flush_concurrent`]).
+    team: Option<Arc<WorkerTeam>>,
     /// When set, each flush appends one `(zone, latency_ns)` sample per
     /// applied event to [`ServeEngine::flush_samples`] — the feed of the
     /// sharded wrapper's per-shard books. A leave is sampled in the zone
@@ -545,12 +523,6 @@ pub struct ServeEngine {
     /// Samples appended by flushes while capture is on; drained with
     /// [`ServeEngine::take_flush_samples`].
     flush_samples: Vec<(usize, u64)>,
-    /// Touched-zone knee of the concurrent flush: below this many
-    /// touched zones a flush stays serial even with a worker team
-    /// installed (the scatter round-trip costs more than it saves).
-    /// Scheduling only — both paths make bit-identical decisions. The
-    /// sharded wrapper forwards its [`crate::ShardConfig`] knee here.
-    shard_min: usize,
     /// `(worker, propose_ns)` pairs appended by concurrent flushes —
     /// each worker's on-thread propose time — drained by the sharded
     /// wrapper into its per-shard flush-duration histograms with
@@ -766,10 +738,9 @@ impl ServeEngine {
             pending_leaves: HashSet::new(),
             staleness: 0,
             warming_up: false,
-            refresh: RefreshMode::Inline,
+            team: None,
             capture_samples: false,
             flush_samples: Vec::new(),
-            shard_min: crate::shard::TEAM_ZONE_MIN,
             shard_timings: Vec::new(),
             scratch: FlushScratch::default(),
             config,
@@ -1094,16 +1065,21 @@ impl ServeEngine {
         // contact plans — proposes concurrently on disjoint shards and
         // commits serially (see `flush_concurrent`); otherwise the
         // historical serial pipeline runs. Bit-identical either way.
-        let team = match &self.refresh {
-            RefreshMode::Team(team) if team.threads() > 1 && touched.len() >= self.shard_min => {
-                Some(Arc::clone(team))
-            }
-            _ => None,
-        };
-        let (migrated, full_repair) = if let Some(team) = team {
+        let concurrent = self
+            .team
+            .as_ref()
+            .filter(|team| team.threads() > 1 && touched.len() >= TEAM_ZONE_MIN)
+            .map(Arc::clone);
+        let (migrated, full_repair) = if let Some(team) = concurrent {
             self.flush_concurrent(&touched, &redecide, &team)
         } else {
-            self.refresh_touched(&touched);
+            // A sharded engine refreshes on this thread: its flush
+            // spawns nothing, and the team only runs concurrent flushes.
+            if self.team.is_some() {
+                self.matrix.refresh_zones_threads(&touched, 1);
+            } else {
+                self.matrix.refresh_zones(&touched);
+            }
             let (migrated, full_repair) = self.repair_targets(&touched, None);
             if !full_repair {
                 self.repair_contacts(&touched, &migrated, &redecide, None);
@@ -1150,23 +1126,10 @@ impl ServeEngine {
         Some(report)
     }
 
-    /// Refreshes the touched zones' orderings through the configured
-    /// [`RefreshMode`]. Both arms are bit-identical (each zone's refresh
-    /// reads only its own column), so every downstream decision is too.
-    fn refresh_touched(&mut self, touched: &[usize]) {
-        match &self.refresh {
-            RefreshMode::Inline => self.matrix.refresh_zones(touched),
-            RefreshMode::Team(team) => {
-                let team = Arc::clone(team);
-                crate::shard::refresh_on_team(&mut self.matrix, touched, &team, self.shard_min);
-            }
-        }
-    }
-
-    /// Routes flush-time matrix refreshes onto a persistent worker team
+    /// Installs the persistent worker team that runs concurrent flushes
     /// (the sharded wrapper installs its team here at boot).
-    pub(crate) fn set_refresh_team(&mut self, team: Arc<WorkerTeam>) {
-        self.refresh = RefreshMode::Team(team);
+    pub(crate) fn set_team(&mut self, team: Arc<WorkerTeam>) {
+        self.team = Some(team);
     }
 
     /// Turns on per-event `(zone, latency)` capture; see
@@ -1182,12 +1145,6 @@ impl ServeEngine {
     /// per applied event, in apply order).
     pub(crate) fn take_flush_samples(&mut self) -> Vec<(usize, u64)> {
         std::mem::take(&mut self.flush_samples)
-    }
-
-    /// Sets the touched-zone knee below which flushes stay serial even
-    /// with a team installed (see the `shard_min` field).
-    pub(crate) fn set_shard_min(&mut self, min: usize) {
-        self.shard_min = min.max(1);
     }
 
     /// Drains the `(worker, propose_ns)` timings appended by concurrent
@@ -1207,8 +1164,8 @@ impl ServeEngine {
     ///
     /// Why this is bit-identical to the serial pipeline at any width:
     ///
-    /// * **Refreshes** read only their own zone's column — same
-    ///   argument as [`crate::shard`]'s refresh scatter.
+    /// * **Refreshes** read only their own zone's column, so disjoint
+    ///   zones refresh in any order to the same matrix.
     /// * **Shift prefixes** are count-based: violator counts cannot
     ///   change between snapshot and commit (only events change counts,
     ///   and they are all applied), and a zone's own target cannot

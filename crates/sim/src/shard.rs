@@ -2,8 +2,9 @@
 //!
 //! [`ShardedServeEngine`] partitions the serving state by zone — shard
 //! `i` owns every zone `z` with `z % shards == i`: those zones'
-//! [`CostMatrix`] columns during the flush refresh, and the shard-local
-//! books (event counter, latency histogram) the wrapper maintains. The
+//! [`CostMatrix`](dve_assign::CostMatrix) columns during the flush
+//! refresh, and the shard-local books (event counter, latency
+//! histogram) the wrapper maintains. The
 //! team is a [`dve_par::WorkerTeam`] created **once** at boot; no flush
 //! ever spawns a thread (property-tested against
 //! [`dve_par::threads_spawned`]).
@@ -55,7 +56,7 @@ use crate::serve::{
 };
 use crate::setup::{build_replication, SimSetup};
 use crate::stats::LatencyHistogram;
-use dve_assign::{CapInstance, CostMatrix, StuckPolicy};
+use dve_assign::{CapInstance, StuckPolicy};
 use dve_par::WorkerTeam;
 use dve_world::{DynamicsBatch, ErrorModel, FaultSchedule, World, WorldDelays};
 use rand::rngs::StdRng;
@@ -63,90 +64,11 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default touched-zone knee: below this many touched zones a team
-/// scatter costs more than the serial work it replaces (channel
-/// round-trip per worker) and the flush stays serial. Scheduling only —
-/// both paths make bit-identical decisions. Overridable per engine with
-/// [`ShardConfig::shard_min`] or the `DVE_SHARD_MIN` environment
-/// variable.
+/// Touched-zone knee: below this many touched zones a team scatter
+/// costs more than the serial work it replaces (a channel round-trip
+/// per worker) and the flush stays serial. Scheduling only — both paths
+/// make bit-identical decisions.
 pub(crate) const TEAM_ZONE_MIN: usize = 8;
-
-/// Tuning knobs of a [`ShardedServeEngine`].
-#[derive(Debug, Clone)]
-pub struct ShardConfig {
-    /// Touched-zone knee below which a flush (refresh and repair
-    /// proposals included) stays serial. Scheduling only — decisions
-    /// are bit-identical on both sides of the knee. Clamped to ≥ 1.
-    pub shard_min: usize,
-}
-
-impl Default for ShardConfig {
-    /// `DVE_SHARD_MIN` when set to a positive integer, else
-    /// `TEAM_ZONE_MIN` (8) — so the knee is tunable per tier without
-    /// code changes.
-    fn default() -> ShardConfig {
-        let shard_min = std::env::var("DVE_SHARD_MIN")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(TEAM_ZONE_MIN);
-        ShardConfig { shard_min }
-    }
-}
-
-/// Refreshes `zones` on the persistent `team`: the propose-∥/
-/// commit-serial form of [`CostMatrix::refresh_zones`]. `min` is the
-/// configured serial-fallback knee (see [`ShardConfig::shard_min`]).
-///
-/// The matrix moves into an `Arc` snapshot; worker `w` proposes new
-/// orderings for its shard's zones (`z % threads == w`) via
-/// [`CostMatrix::propose_zone_order`]; the scatter returns proposals in
-/// worker-index order and a serial pass commits them. Zones are
-/// disjoint across shards and each proposal reads only its own column,
-/// so the result is bit-identical to the serial loop at any team width
-/// — and no thread is ever spawned here.
-pub(crate) fn refresh_on_team(
-    matrix: &mut CostMatrix,
-    zones: &[usize],
-    team: &WorkerTeam,
-    min: usize,
-) {
-    let threads = team.threads();
-    if threads <= 1 || zones.len() < min.max(1) {
-        matrix.refresh_zones_threads(zones, 1);
-        return;
-    }
-    let mut of_shard: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    for &z in zones {
-        of_shard[z % threads].push(z);
-    }
-    let snapshot = Arc::new(std::mem::take(matrix));
-    let jobs: Vec<_> = of_shard
-        .into_iter()
-        .map(|shard_zones| {
-            let snapshot = Arc::clone(&snapshot);
-            move |_worker: usize| -> Vec<(usize, Vec<u32>, f64)> {
-                shard_zones
-                    .into_iter()
-                    .map(|z| {
-                        let (row, rho) = snapshot.propose_zone_order(z);
-                        (z, row, rho)
-                    })
-                    .collect()
-            }
-        })
-        .collect();
-    let proposals = team.scatter(jobs);
-    // Every job has run and dropped its snapshot clone; the matrix is
-    // exclusively ours again.
-    let mut owned = Arc::try_unwrap(snapshot).expect("scatter jobs dropped their snapshots");
-    for shard in proposals {
-        for (z, row, rho) in shard {
-            owned.commit_zone_order(z, &row, rho);
-        }
-    }
-    *matrix = owned;
-}
 
 /// Per-shard serving books: what shard `i` of a [`ShardedServeEngine`]
 /// has served.
@@ -161,7 +83,7 @@ pub struct ShardStats {
     pub latency: LatencyHistogram,
     /// On-worker durations of this shard's flush propose jobs — one
     /// sample per **concurrent** flush (serial flushes, below the
-    /// [`ShardConfig::shard_min`] knee, record nothing). Shards with
+    /// 8-zone knee, record nothing). Shards with
     /// systematically longer propose times than their siblings expose
     /// `z % S` ownership skew.
     pub flush: LatencyHistogram,
@@ -172,7 +94,7 @@ pub struct ShardStats {
 /// commit-serial discipline).
 ///
 /// The wrapper owns the engine and intercepts every mutating entry
-/// point: flush-time matrix refreshes run sharded on the team, and each
+/// point: flushes touching at least 8 zones propose on the team, and each
 /// applied event is routed by zone (`z % shards`) into its shard's
 /// books. All decisions are made by the serial commit path, so targets,
 /// contacts, and stats are **bit-identical** to an unsharded engine fed
@@ -199,38 +121,10 @@ impl ShardedServeEngine {
         rng: StdRng,
         shards: usize,
     ) -> Result<ShardedServeEngine, ServeError> {
-        ShardedServeEngine::with_config(
-            instance,
-            world,
-            delays,
-            error,
-            policy,
-            config,
-            rng,
-            shards,
-            ShardConfig::default(),
-        )
-    }
-
-    /// [`ShardedServeEngine::new`] with explicit [`ShardConfig`] tuning
-    /// (the plain constructor resolves it from the environment).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_config(
-        instance: CapInstance,
-        world: &World,
-        delays: WorldDelays,
-        error: ErrorModel,
-        policy: StuckPolicy,
-        config: ServeConfig,
-        rng: StdRng,
-        shards: usize,
-        shard_config: ShardConfig,
-    ) -> Result<ShardedServeEngine, ServeError> {
         let shards = shards.max(1);
         let mut engine = ServeEngine::new(instance, world, delays, error, policy, config, rng)?;
-        engine.set_refresh_team(Arc::new(WorkerTeam::new(shards)));
+        engine.set_team(Arc::new(WorkerTeam::new(shards)));
         engine.set_sample_capture(true);
-        engine.set_shard_min(shard_config.shard_min);
         Ok(ShardedServeEngine {
             engine,
             shards: vec![ShardStats::default(); shards],
@@ -336,7 +230,7 @@ impl ServeSink for ShardedServeEngine {
 
 /// [`run_stream`](crate::run_stream) on a [`ShardedServeEngine`]: the
 /// same replication, trace, RNG discipline, and replay loop, with the
-/// flush refresh sharded across `shards` workers. The report is
+/// flush tail sharded across `shards` workers. The report is
 /// bit-identical to [`run_stream`](crate::run_stream)'s at any shard
 /// count; the returned books show how the work spread.
 pub fn run_stream_sharded(

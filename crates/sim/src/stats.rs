@@ -7,11 +7,10 @@
 //! latencies into (log-bucketed, bounded memory, conservative quantile
 //! upper bounds — what the `stream` bench gates its SLO on).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Accumulator {
     n: u64,
     mean: f64,
@@ -93,7 +92,7 @@ impl Accumulator {
 }
 
 /// Frozen summary of a replicated measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: u64,

@@ -8,7 +8,7 @@ use dve_assign::StuckPolicy;
 use dve_sim::{
     build_replication, run_recovery_stream, run_recovery_stream_sharded, run_stream,
     run_stream_sharded, QualityEstimator, ServeConfig, ServeEngine, ServeSink, ServeStats,
-    ShardConfig, ShardedServeEngine, SimSetup, StreamEvent, TopologySpec,
+    ShardedServeEngine, SimSetup, StreamEvent, TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{DynamicsBatch, ErrorModel, FaultKind, FaultSchedule, ScenarioConfig};
@@ -263,66 +263,14 @@ fn sharded_assignments_equal_unsharded_per_client() {
     }
 }
 
-/// Boots a sharded engine with an explicit [`ShardConfig`] knee on the
-/// standard scenario and runs the churn+failure script.
-fn drive_with_knee(setup: &SimSetup, shards: usize, shard_min: usize) -> ShardedWithBooks {
-    let rep = build_replication(setup, 0);
-    let mut engine = ShardedServeEngine::with_config(
-        rep.instance,
-        &rep.world,
-        rep.delays,
-        ErrorModel::PERFECT,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-        StdRng::seed_from_u64(0xbeef),
-        shards,
-        ShardConfig { shard_min },
-    )
-    .expect("sharded engine solves");
-    let decisions = drive_script(&mut engine);
-    let flush_samples: Vec<u64> = engine
-        .shard_stats()
-        .iter()
-        .map(|b| b.flush.count())
-        .collect();
-    (decisions, flush_samples)
-}
-
-type ShardedWithBooks = ((Vec<usize>, Vec<usize>, usize, [u64; 9]), Vec<u64>);
-
-/// The `ShardConfig::shard_min` knee is scheduling only: an engine that
-/// takes the concurrent flush path on every flush (knee 1) and one that
-/// never takes it (knee `usize::MAX`, always serial) make bit-identical
-/// decisions — while the flush histograms prove the two really took
-/// different paths (the concurrent engine recorded propose timings, the
-/// serial one recorded none).
-#[test]
-fn shard_min_knee_is_decision_invariant() {
-    let setup = setup();
-    let (serial, serial_flushes) = drive_with_knee(&setup, 4, usize::MAX);
-    assert_eq!(
-        serial_flushes.iter().sum::<u64>(),
-        0,
-        "an infinite knee must keep every flush serial"
-    );
-    let (concurrent, concurrent_flushes) = drive_with_knee(&setup, 4, 1);
-    assert!(
-        concurrent_flushes.iter().sum::<u64>() > 0,
-        "a knee of 1 must route flushes through the concurrent path"
-    );
-    assert_eq!(
-        concurrent, serial,
-        "decisions diverged across the shard_min knee"
-    );
-}
-
 /// The inter-shard message seam under maximum stress: two servers fail
 /// (mass evacuations land zones on servers owned by *other* shards, and
 /// shed relays re-book cross-shard), churn continues while degraded,
-/// then both recover (re-admission sweeps pull zones back). With the
-/// knee forced to 1 every flush takes the concurrent propose/commit
-/// path, and every width must reproduce the serial single-shard
-/// engine's full per-client assignment exactly.
+/// then both recover (re-admission sweeps pull zones back). Every
+/// storm flush touches 40 zones, past the 8-zone knee, so at every
+/// width above 1 each flush takes the concurrent propose/commit path,
+/// and every width must reproduce the serial single-shard engine's
+/// full per-client assignment exactly.
 #[test]
 fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
     let setup = setup();
@@ -401,7 +349,7 @@ fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
     );
     for shards in WIDTHS {
         let (instance, world, delays) = boot();
-        let mut sharded = ShardedServeEngine::with_config(
+        let mut sharded = ShardedServeEngine::new(
             instance,
             &world,
             delays,
@@ -410,7 +358,6 @@ fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
             ServeConfig::default(),
             StdRng::seed_from_u64(0xfade),
             shards,
-            ShardConfig { shard_min: 1 },
         )
         .expect("sharded engine solves");
         let got = storm(&mut sharded);
@@ -418,5 +365,12 @@ fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
             got, baseline,
             "concurrent flush diverged from serial at {shards} shards"
         );
+        if shards > 1 {
+            let proposed: u64 = sharded.shard_stats().iter().map(|b| b.flush.count()).sum();
+            assert!(
+                proposed > 0,
+                "at {shards} shards the storm must take the concurrent flush path"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 use crate::delay::{DelayError, DelayMatrix};
 use crate::graph::Graph;
 use crate::shortest_path::dijkstra;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Answers round-trip-time queries between topology nodes. See the
 /// module docs for the contract; all delays are milliseconds, finite and
@@ -225,7 +225,9 @@ impl DelaySource for OnDemandDelays {
     /// cache miss). Delays are evaluated from the `a` side; the model is
     /// symmetric up to floating-point summation order along the path.
     fn rtt(&self, a: usize, b: usize) -> f64 {
-        let mut cache = self.cache.lock();
+        // The memo holds only whole rows, so a panic elsewhere while the
+        // lock was held leaves nothing half-written: ignore poisoning.
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pos) = cache.iter().position(|(src, _)| *src == a) {
             let row = cache.remove(pos);
             let value = row.1[b];

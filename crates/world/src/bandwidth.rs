@@ -14,10 +14,8 @@
 //! traffic is forwarded, consuming `R^C = 2 R^T` on the contact server
 //! (section 2.1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-client message-rate parameters (paper defaults: 25 msg/s, 100 B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Input/update sending frequency in messages per second.
     pub msgs_per_sec: f64,

@@ -14,10 +14,8 @@
 //! ("the number of clients in a clustered zone is 10 times larger");
 //! clustered physical nodes likewise attract 10x the clients.
 
-use serde::{Deserialize, Serialize};
-
 /// The four PW/VW clustering combinations of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistributionType {
     /// Type 0: uniform everywhere.
     Uniform,

@@ -4,12 +4,11 @@
 
 use crate::bandwidth::BandwidthModel;
 use crate::distribution::DistributionType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// How total capacity is split across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapacityPolicy {
     /// Every server receives `total / m` (the minimum is checked).
     Uniform,
@@ -19,7 +18,7 @@ pub enum CapacityPolicy {
 }
 
 /// Full description of a DVE scenario to instantiate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of geographically distributed servers (paper default: 20).
     pub servers: usize,
